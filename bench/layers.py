@@ -6,10 +6,10 @@ workload's own inputs, every timed call sitting inside a span.  Then each
 CLI command of the workload runs in-process through ``cli.main`` with every
 public function and method of every layer wrapped, so that each call
 records a span (name, start, end, parent and the id of the operation it
-belongs to).  Self time per layer comes from those spans; the traced minus
-the untraced in-process time of the workload's primary command is the
-tracing overhead.  Spans stay in memory and are written out, gzipped, at
-the end.
+belongs to).  Self time per layer comes from those spans.  The workload's
+primary command runs untraced and traced in turn, and the median of the
+paired differences is the tracing overhead.  Spans stay in memory and are
+written out, gzipped, at the end.
 """
 
 from __future__ import annotations
@@ -313,24 +313,29 @@ def run_layers(w, seed: int, work: Path, recorded: dict | None, out_dir: Path) -
     us = {e: statistics.median(v) / len(pairs) * 1e6 for e, v in per_engine.items()}
     for engine in ENGINES:
         m[f"lcs.{engine}_us_per_pair"] = (us[engine], "us")
-    # distance against lcs_len on the same pair, back to back, so that the
-    # difference (the metric layer's own cost) is not buried in drift
-    clock = time.perf_counter
-    dist_t = lcs_t = 0.0
+    # metric: distance() as the CLI calls it, and distance() with its LCS
+    # call answered from a table of the values computed above, which leaves
+    # the metric layer's own work (canonical order, lengths, two
+    # harmonic_diff lookups) in the time
+    metric_mod = LAYERS[2]
+    lcs_of = {}
+    for (a, b), v in zip(pairs, reference):
+        lcs_of[id(a), id(b)] = lcs_of[id(b), id(a)] = v
     tracer.begin_op("metric.distance")
     with tracer.span("metric.distance[pairs]"):
-        for _ in range(3):
-            for a, b in pairs:
-                t0 = clock()
-                lcs_len(a, b)
-                t1 = clock()
-                distance(a, b)
-                t2 = clock()
-                lcs_t += t1 - t0
-                dist_t += t2 - t1
-    calls = 3 * len(pairs)
-    m["metric.distance_us_per_pair"] = (dist_t / calls * 1e6, "us")
-    m["metric.self_us_per_pair"] = ((dist_t - lcs_t) / calls * 1e6, "us")
+        dist_s = _median_time(lambda: [distance(a, b) for a, b in pairs], 3)
+        expected = [distance(a, b) for a, b in pairs]
+    m["metric.distance_us_per_pair"] = (dist_s / len(pairs) * 1e6, "us")
+    real_lcs_len = metric_mod.lcs_len
+    metric_mod.lcs_len = lambda a, b, engine="auto": lcs_of[id(a), id(b)]
+    try:
+        with tracer.span("metric.distance[pairs, lcs looked up]"):
+            own_s = _median_time(lambda: [distance(a, b) for a, b in pairs], 15)
+            own = [distance(a, b) for a, b in pairs]
+    finally:
+        metric_mod.lcs_len = real_lcs_len
+    expect(own == expected, "distance with looked-up LCS values differs")
+    m["metric.self_us_per_pair"] = (own_s / len(pairs) * 1e6, "us")
 
     # --- vpindex: built with the CLI's default seed and saved where the
     # CLI's knn --index commands below load it
@@ -402,41 +407,51 @@ def run_layers(w, seed: int, work: Path, recorded: dict | None, out_dir: Path) -
     for report in (rep_ex, rep_rnd, *lemmas):
         expect(report.total_violations == 0, "propcheck reported violations")
 
-    # --- cli: the primary command in-process, and as a fresh process
-    primary = cmds[w.primary][0]
-    main_times = []
-    tracer.begin_op("cli.main[primary]")
-    for _ in range(w.cli_reps):
-        with tracer.span(f"cli.main[{w.primary}]"):
+    # --- cli: the primary command in-process, untraced and traced in turn
+    # (the order alternates), and as a fresh process; every other command
+    # kind once, traced.  Self time per layer comes from one traced run of
+    # each kind.
+    def run_kind(kind: str, traced: bool) -> float:
+        if kind == "setup":
+            files["index"].unlink(missing_ok=True)
+        with traced_layers(tracer) if traced else contextlib.nullcontext():
             t0 = time.perf_counter()
-            code, stdout = cli_stdout(primary)
-            main_times.append(time.perf_counter() - t0)
-        expect_output(w.primary, code, stdout)
+            code, stdout = cli_stdout(cmds[kind][0])
+            elapsed = time.perf_counter() - t0
+        expect_output(kind, code, stdout)
+        return elapsed
+
+    traced_ops = set()
+    main_times, overheads = [], []
+    for rep in range(w.cli_reps):
+        op_id = tracer.begin_op(f"cli.main[{w.primary}] traced")
+        if rep == 0:
+            traced_ops.add(op_id)
+        if rep % 2 == 0:
+            untraced = run_kind(w.primary, False)
+            traced = run_kind(w.primary, True)
+        else:
+            traced = run_kind(w.primary, True)
+            untraced = run_kind(w.primary, False)
+        main_times.append(untraced)
+        overheads.append(traced - untraced)
     main_s = statistics.median(main_times)
     m["cli.main_s"] = (main_s, "s")
+    m["cli.trace_overhead_s"] = (statistics.median(overheads), "s")
     walls = []
     for _ in range(w.cli_reps):
-        op = spawn(w.primary, 0, primary, work, env)
+        op = spawn(w.primary, 0, cmds[w.primary][0], work, env)
         expect_output(w.primary, op.code, op.stdout)
         walls.append(op.wall_s)
     m["cli.spawn_overhead_s"] = (statistics.median(walls) - main_s, "s")
-
-    # --- every command kind traced: self time per layer, and the overhead
-    # of tracing on the primary command
-    traced_ops = set()
-    with traced_layers(tracer):
-        for kind in KINDS:
+    for kind in KINDS:
+        if kind != w.primary:
             traced_ops.add(tracer.begin_op(f"cli.main[{kind}] traced"))
-            t0 = time.perf_counter()
-            code, stdout = cli_stdout(cmds[kind][0])
-            if kind == w.primary:
-                traced_s = time.perf_counter() - t0
-            expect_output(kind, code, stdout)
+            run_kind(kind, True)
     self_s = tracer.self_s_by_layer(traced_ops)
     for mod in LAYERS:
         layer = mod.__name__.rsplit(".", 1)[1]
         m[f"{layer}.self_s"] = (self_s.get(layer, 0.0), "s")
-    m["cli.trace_overhead_s"] = (traced_s - main_s, "s")
 
     trace_path = out_dir / f"trace-{w.name}-seed{seed}.json.gz"
     tracer.dump(trace_path, {"workload": w.name, "seed": seed})

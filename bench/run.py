@@ -3,8 +3,8 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --workload short-dense --seed 1 --seconds 40 --trace 0
-    python3 bench/run.py --workload all --seed 1 --seconds 40 --out bench/results/BENCH_1.json
+    python3 bench/run.py --workload short-dense --seed 1 --seconds 60 --trace 0
+    python3 bench/run.py --workload all --seed 1 --seconds 60 --out bench/results/BENCH_1.json
     python3 bench/run.py --record-digests 0-19
 
 With ``--trace 0`` the run drives the real CLI (``python -m harmdist`` with
@@ -49,6 +49,9 @@ LOOP_LIMIT_S = 110.0
 
 #: Samples beyond a tail percentile, at the least.
 TAIL_BEYOND = 10
+
+#: The timed loop runs each kind at least this often (once if not named).
+MIN_SAMPLES = {"setup": 3}
 
 def child_env() -> dict:
     env = dict(os.environ)
@@ -174,7 +177,7 @@ def environment() -> dict:
 
 def run_e2e(w, seed: int, seconds: float, work: Path, recorded: dict | None) -> dict:
     """Closed loop over fresh CLI processes; returns the result record."""
-    from workloads import KINDS, OutputCheck, commands, make_inputs, write_files
+    from workloads import ROUNDS, OutputCheck, commands, make_inputs, write_files
 
     inputs = make_inputs(w, seed)
     files = write_files(w, inputs, work)
@@ -193,34 +196,46 @@ def run_e2e(w, seed: int, seconds: float, work: Path, recorded: dict | None) -> 
         ops.append(op)
         return op
 
-    # set-up: build and save the index over the corpus, several times
-    setup = []
-    for _ in range(w.setups):
-        files["index"].unlink(missing_ok=True)
-        op = execute("knn_index", 0, cmds["knn_index"][0])
-        if op.error is None and not files["index"].exists():
-            op.error = "set-up saved no index file"
-            failures.append(op.error)
-            op.wall_s = OP_TIMEOUT_S
-        setup.append(op.wall_s)
+    # warm-up, untimed: one dist process brings the interpreter, numpy and
+    # the sources into the page cache before the first timed command.
+    execute("dist", 0, cmds["dist"][0])
 
-    # timed loop: the kind furthest behind its share of time goes next
-    spent = dict.fromkeys(KINDS, 0.0)
-    walls: dict[str, list[float]] = {k: [] for k in KINDS}
+    # timed loop: each kind once, in order, then the kind furthest behind its
+    # share of time among those whose median sample still fits in the time
+    # left; when none fits, kinds short of MIN_SAMPLES finish.  Set-up is one
+    # of the kinds, so its samples spread over the run like the others.  A
+    # sample of a kind in ROUNDS is that many consecutive commands (a knn
+    # round: one near query, one fresh), and its time is their mean.
+    kinds = w.kinds
+    spent = dict.fromkeys(kinds, 0.0)
+    walls: dict[str, list[float]] = {k: [] for k in kinds}
     start = time.perf_counter()
     while True:
-        elapsed = time.perf_counter() - start
-        pending = [k for k in KINDS if not walls[k]]
-        if (not pending and elapsed >= seconds) or elapsed >= LOOP_LIMIT_S:
+        left = seconds - (time.perf_counter() - start)
+        if left < seconds - LOOP_LIMIT_S:
             break
-        kind = pending[0] if pending else min(KINDS, key=lambda k: spent[k] / w.shares[k])
-        idx = len(walls[kind]) % len(cmds[kind])
-        op = execute(kind, idx, cmds[kind][idx])
-        walls[kind].append(op.wall_s)
-        spent[kind] += op.wall_s
+        never = [k for k in kinds if not walls[k]]
+        fits = [k for k in kinds
+                if walls[k] and statistics.median(walls[k]) * ROUNDS.get(k, 1) <= left]
+        short = [k for k in kinds if len(walls[k]) < MIN_SAMPLES.get(k, 1)]
+        pool = never or fits or short
+        if not pool:
+            break
+        kind = min(pool, key=lambda k: spent[k] / w.shares[k])
+        per = ROUNDS.get(kind, 1)
+        first = len(walls[kind]) * per % len(cmds[kind])
+        if kind == "setup":
+            files["index"].unlink(missing_ok=True)
+        done = [execute(kind, i, cmds[kind][i]) for i in range(first, first + per)]
+        if kind == "setup" and done[0].error is None and not files["index"].exists():
+            done[0].error = "set-up saved no index file"
+            failures.append(done[0].error)
+            done[0].wall_s = OP_TIMEOUT_S
+        wall = statistics.fmean(op.wall_s for op in done)
+        walls[kind].append(wall)
+        spent[kind] += wall * per
 
     t = {k: timing(v) for k, v in walls.items() if v}
-    t["setup"] = timing(setup)
 
     def entry(value: float, unit: str, kind: str, stat: str = "p50") -> dict:
         return {"value": value, "unit": unit, "samples": t[kind]["n"],
@@ -233,10 +248,12 @@ def run_e2e(w, seed: int, seconds: float, work: Path, recorded: dict | None) -> 
         metrics[f"{kind}_p50_s"] = entry(t[kind]["p50"], "s", kind)
         metrics[f"{kind}_tail_s"] = entry(t[kind]["tail"], "s", kind, "tail")
     metrics["matrix_pairs_per_s"] = entry(matrix_pairs / t["matrix"]["p50"], "1/s", "matrix")
-    metrics["check_exhaustive_s"] = entry(
-        t["check_exhaustive"]["p50"], "s", "check_exhaustive")
-    metrics["check_random_triples_per_s"] = entry(
-        w.random_check[2] / t["check_random"]["p50"], "1/s", "check_random")
+    if "check_exhaustive" in t:
+        metrics["check_exhaustive_s"] = entry(
+            t["check_exhaustive"]["p50"], "s", "check_exhaustive")
+    if "check_random" in t:
+        metrics["check_random_triples_per_s"] = entry(
+            w.random_check[2] / t["check_random"]["p50"], "1/s", "check_random")
     metrics["peak_rss_mb"] = {"value": max(op.maxrss_kb for op in ops) / 1024.0,
                               "unit": "MB", "samples": len(ops)}
     failed = sum(op.error is not None for op in ops)
@@ -249,16 +266,16 @@ def run_e2e(w, seed: int, seconds: float, work: Path, recorded: dict | None) -> 
         "measured_s": time.perf_counter() - start,
         "matrix_pairs": matrix_pairs,
         "random_triples": w.random_check[2],
-        "setup_walls_s": setup,
         "ops": {
-            k: {"samples": len(v), "walls_s": v} for k, v in walls.items()
+            k: {"samples": len(v), "commands_per_sample": ROUNDS.get(k, 1), "walls_s": v}
+            for k, v in walls.items()
         },
         "digests_checked": check.digests_checked,
     }
 
 
 # ---------------------------------------------------------------------------
-# driver
+# command line
 
 
 def load_digests() -> dict:
@@ -300,7 +317,7 @@ def run_one(w, seed: int, seconds: float, trace: bool) -> dict:
 
 
 def summary(result: dict) -> dict:
-    """The driver-facing last line."""
+    """The last line of stdout: correct, attempted, failed and the metrics."""
     return {
         "correct": result["failed"] == 0,
         "attempted": result["attempted"],
@@ -361,6 +378,8 @@ def record_digests(seeds: list[int]) -> int:
                 files["index"].unlink(missing_ok=True)
                 entry = {}
                 for kind, argvs in cmds.items():
+                    if kind == "setup":  # knn_index:0 builds the index and is checked
+                        continue
                     for idx, argv in enumerate(argvs):
                         code, stdout = cli_stdout(argv)
                         error = check(kind, idx, code, stdout)
@@ -382,7 +401,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", help="a workload name, or 'all'")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="with --workload all: write the results here")
     parser.add_argument("--record-digests", metavar="SEEDS",

@@ -19,12 +19,19 @@ from harmdist import Interner, distance, distance_exact
 #: 200 code points of Latin Extended-A/B: non-ASCII, no whitespace.
 WIDE = "".join(chr(0x100 + i) for i in range(200))
 
-#: Command kinds the timed loop draws from, in scheduling order.
-KINDS = ("dist", "knn_index", "knn_scan", "matrix", "check_exhaustive", "check_random")
+#: Command kinds the timed loop draws from, in scheduling order.  ``setup``
+#: is ``knn --index P`` run with no file at ``P``: it builds and saves the
+#: index that the ``knn_index`` commands after it load.
+KINDS = ("setup", "dist", "knn_index", "knn_scan", "matrix", "check_exhaustive",
+         "check_random")
 
 K = 10          # neighbours per knn query
 RADIUS = 0.3    # radius of the library range queries
 PRECISION = 12  # the CLI's default printed decimals
+KNN_ROUNDS = 3  # distinct knn rounds, each one near and one fresh query
+
+#: Kinds whose one sample is a round of consecutive commands, and its size.
+ROUNDS = {"knn_index": 2, "knn_scan": 2}
 
 
 @dataclass(frozen=True)
@@ -39,15 +46,18 @@ class Workload:
     random_check: tuple[int, int, int]   # check --random: (alphabet, maxlen, samples)
     oracle_engine: str                   # an engine `auto` does not pick here
     primary: str                         # command kind timed in-process as cli.main_s
-    shares: dict = field(default_factory=dict)  # kind -> share of measuring time
+    shares: dict = field(default_factory=dict)  # kind -> share of measuring time; kinds run
     universe_corpus: bool = False        # corpus is every string up to max_len
     dist_pairs: int = 8
-    queries: int = 6
     layer_pairs: int = 300
-    setups: int = 3
     probes: int = 5
-    cli_reps: int = 3                    # in-process and fresh runs of the primary
+    cli_reps: int = 5                    # untraced/traced pairs and fresh runs of the primary
     matrix_cells_checked: int = 64
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The command kinds the timed loop runs, in scheduling order."""
+        return tuple(k for k in KINDS if k in self.shares)
 
     def tiny(self) -> "Workload":
         """The same workload at sizes small enough for a unit test."""
@@ -62,20 +72,26 @@ class Workload:
             random_check=(self.random_check[0], 8, 10),
             universe_corpus=False,
             dist_pairs=2,
-            queries=2,
             layer_pairs=6,
-            setups=1,
             probes=1,
             cli_reps=1,
             matrix_cells_checked=8,
         )
 
 
+#: The check sizes of ``verify``: the exhaustive rational check over the
+#: binary universe up to length 5, and random float triples of binary strings
+#: up to length 64.  ``short-dense`` and ``long-sparse`` run no check command
+#: in their timed loop; their traced runs time propcheck at these sizes.
+VERIFY_EXHAUSTIVE = (2, 5)
+VERIFY_RANDOM_LEN = 64
+
 WORKLOADS = {
     w.name: w
     for w in (
         # Every call pays import plus the 2^20-entry harmonic table, and LCS
-        # takes microseconds: start-up cost dominates every command.
+        # takes microseconds: start-up cost dominates every command, the
+        # checks included, so they run at small sizes here.
         Workload(
             name="cold-start",
             symbols="abcdefgh",
@@ -87,30 +103,37 @@ WORKLOADS = {
             random_check=(8, 16, 200),
             oracle_engine="bitparallel",
             primary="dist",
-            shares={"dist": 0.64, "knn_index": 0.072, "knn_scan": 0.072,
+            shares={"setup": 0.04, "dist": 0.6, "knn_index": 0.072, "knn_scan": 0.072,
                     "matrix": 0.072, "check_exhaustive": 0.072, "check_random": 0.072},
             dist_pairs=16,
         ),
         # Short dense strings: `auto` sends every pair to numpy dp, so the
         # LCS layer does almost all the work; half the queries are near a
         # corpus line (pruning works), half are fresh (pruning is weak).
+        # The timed loop runs the commands of this regime: set-up,
+        # knn with the index and without, and matrix; plus dist, whose
+        # fresh-process cost every command pays.  The matrix slice is 120
+        # lines, not 200: a 200-line matrix takes about 5 s, a 60 s run then
+        # holds three or four of them, and their median spread past the
+        # benchmark's bound from run to run.
         Workload(
             name="short-dense",
             symbols="acgt",
             corpus_size=2000,
             min_len=0,
             max_len=64,
-            matrix_lines=200,
-            exhaustive=(4, 2),
-            random_check=(4, 64, 200),
+            matrix_lines=120,
+            exhaustive=VERIFY_EXHAUSTIVE,
+            random_check=(2, VERIFY_RANDOM_LEN, 300),
             oracle_engine="bitparallel",
             primary="knn_index",
-            shares={"dist": 0.13, "knn_index": 0.23, "knn_scan": 0.23,
-                    "matrix": 0.15, "check_exhaustive": 0.1, "check_random": 0.16},
+            shares={"setup": 0.23, "dist": 0.09, "knn_index": 0.22, "knn_scan": 0.23,
+                    "matrix": 0.23},
         ),
         # Long strings over a wide alphabet: `auto` already picks the
         # multi-word bit-parallel kernel and harmonic_diff its long-span
         # branch, so a change tuned for short lanes must show no loss here.
+        # The same commands as short-dense.
         Workload(
             name="long-sparse",
             symbols=WIDE,
@@ -118,12 +141,12 @@ WORKLOADS = {
             min_len=100,
             max_len=400,
             matrix_lines=150,
-            exhaustive=(3, 3),
-            random_check=(200, 400, 40),
+            exhaustive=VERIFY_EXHAUSTIVE,
+            random_check=(2, VERIFY_RANDOM_LEN, 300),
             oracle_engine="huntszymanski",
             primary="knn_index",
-            shares={"dist": 0.12, "knn_index": 0.2, "knn_scan": 0.2,
-                    "matrix": 0.2, "check_exhaustive": 0.16, "check_random": 0.12},
+            shares={"setup": 0.1, "dist": 0.12, "knn_index": 0.25, "knn_scan": 0.24,
+                    "matrix": 0.29},
             layer_pairs=100,
         ),
         # The verification suites: Fraction arithmetic, the triangle loop and
@@ -136,12 +159,12 @@ WORKLOADS = {
             min_len=0,
             max_len=5,
             matrix_lines=63,
-            exhaustive=(2, 5),
-            random_check=(2, 64, 600),
+            exhaustive=VERIFY_EXHAUSTIVE,
+            random_check=(2, VERIFY_RANDOM_LEN, 600),
             oracle_engine="bitparallel",
             primary="check_exhaustive",
-            shares={"dist": 0.1, "knn_index": 0.1, "knn_scan": 0.1,
-                    "matrix": 0.1, "check_exhaustive": 0.3, "check_random": 0.3},
+            shares={"setup": 0.04, "dist": 0.1, "knn_index": 0.09, "knn_scan": 0.09,
+                    "matrix": 0.08, "check_exhaustive": 0.3, "check_random": 0.3},
             universe_corpus=True,
             cli_reps=1,
         ),
@@ -186,7 +209,19 @@ def make_inputs(w: Workload, seed: int) -> Inputs:
         rng.shuffle(corpus)
     else:
         corpus = [fresh() for _ in range(w.corpus_size)]
-    queries = [near(rng.choice(corpus)) if i % 2 == 0 else fresh() for i in range(w.queries)]
+    # A knn query's cost follows its length and whether it is near a corpus
+    # line, so every query has the middle length of [min_len, max_len] and
+    # the queries come in rounds of one near and one fresh: a corpus line of
+    # about that length with 1-3 edits, then a fresh string of exactly that
+    # length.  The timed loop runs a round at a time, so each knn sample
+    # holds the same near/fresh mix whatever the number of samples.
+    target = w.min_len + round((w.max_len - w.min_len) / 2)
+    gap = min(abs(len(s) - target) for s in corpus)
+    middle = [s for s in corpus if abs(len(s) - target) == gap]
+    queries = []
+    for _ in range(KNN_ROUNDS):
+        queries.append(near(rng.choice(middle)))
+        queries.append("".join(rng.choice(w.symbols) for _ in range(target)))
     pairs = []
     for i in range(w.dist_pairs):
         a = fresh()
@@ -270,15 +305,17 @@ def commands(w: Workload, inputs: Inputs, seed: int, files: dict) -> dict:
     """Every distinct CLI command of a run, by kind; argv without the program.
 
     ``files`` maps "corpus", "matrix" and "index" to paths.  The set-up
-    command is ``knn_index`` number 0 run with no index file present.
+    command is ``knn_index`` number 0, to be run with no index file present.
     """
     corpus, index = str(files["corpus"]), str(files["index"])
     ex_alpha, ex_len = w.exhaustive
     rnd_alpha, rnd_len, rnd_samples = w.random_check
     knn = ["--k", str(K)]
+    knn_index = [["knn", corpus, q, *knn, "--index", index] for q in inputs.queries]
     return {
+        "setup": knn_index[:1],
         "dist": [["dist", a, b] for a, b in inputs.pairs],
-        "knn_index": [["knn", corpus, q, *knn, "--index", index] for q in inputs.queries],
+        "knn_index": knn_index,
         "knn_scan": [["knn", corpus, q, *knn, "--no-index"] for q in inputs.queries],
         "matrix": [["matrix", str(files["matrix"])]],
         "check_exhaustive": [[
@@ -327,6 +364,9 @@ class OutputCheck:
     def __call__(self, kind: str, idx: int, code: int, stdout: bytes) -> str | None:
         if code != 0:
             return f"{kind}:{idx} exited with {code}"
+        if kind == "setup":  # building the index must not change what knn prints
+            error = self("knn_index", idx, code, stdout)
+            return error and f"setup: {error}"
         if self.recorded is not None:
             want = self.recorded.get(f"{kind}:{idx}")
             if want is not None:

@@ -92,11 +92,9 @@ def _read_lines(path: str, mode: str) -> list[str] | list[bytes]:
 
 
 def _line_seq(line, mode: str, interner: Interner) -> SymbolSeq:
-    if mode == "bytes":
-        return interner.seq(line)
-    if mode == "codepoints":
-        return interner.seq(line)
-    return interner.seq(line.split())
+    if mode == "words":
+        return interner.seq(line.split())
+    return interner.seq(line)
 
 
 def _fmt(value: float, precision: int) -> str:

@@ -7,14 +7,17 @@ Three tiers serve the rest of the library:
 * ``harmonic_exact`` returns H_n as an exact rational, the reference
   oracle for every floating-point tolerance in this package.
 
-A ``HarmonicTable`` is immutable after construction and safe to share
-across threads; every function here is pure.
+A ``HarmonicTable`` materializes entries on demand, up to its fixed
+``max_index``; growth is locked and published by swapping in a new array,
+so a table is safe to share across threads.  Every function here returns
+the same value whatever the table has materialized so far.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from array import array
 from fractions import Fraction
 
@@ -51,47 +54,74 @@ _ENV_CAPACITY = "HARMDIST_TABLE_SIZE"
 
 
 class HarmonicTable:
-    """Prefix table of H_0..H_N in double precision.
+    """Prefix table of H_0..H_N in double precision, grown on demand.
 
-    Construction uses error-feedback summation: the exact running sum is
+    ``max_index`` is N, the clamped capacity, fixed at construction.
+    Entries are materialized only up to the largest index requested so
+    far, doubling each time; reading ``values`` materializes all of them.
+
+    Entries come from error-feedback summation: the exact running sum is
     carried in a hi/lo double-double pair, and each stored entry is the
     representable value nearest that sum among those within ``STEP_BOUND``
     of ``previous + 1/n``.  The clamp makes the per-step invariant hold by
     construction; the feedback steers the stored sequence toward the true
-    prefix sums wherever the float grid allows.
+    prefix sums wherever the float grid allows.  Growth resumes the
+    summation from its saved state, so every entry is bit-identical to a
+    table built in one pass, whatever order the requests came in.
     """
 
-    __slots__ = ("max_index", "values")
+    __slots__ = ("max_index", "_values", "_state", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
-        n = min(max(capacity, MIN_CAPACITY), MAX_CAPACITY)
-        values = array("d", bytes(8 * (n + 1)))
-        hi = 0.0
-        lo = 0.0
-        v = 0.0
-        nextafter = math.nextafter
-        for i in range(1, n + 1):
-            x = 1.0 / i
-            # two-sum of hi + x, error folded into lo
-            s = hi + x
-            b = s - hi
-            lo += (hi - (s - b)) + (x - b)
-            t = s + lo
-            lo -= t - s
-            hi = t
-            # plain rounded step, nudged toward the exact sum when the
-            # neighbouring float still honours the step bound
-            c = v + x
-            if c != hi:
-                nb = nextafter(c, hi)
-                if abs((nb - v) - x) <= STEP_BOUND:
-                    c = nb
-            v = c
-            values[i] = v
-        self.max_index = n
-        self.values = values
+        self.max_index = min(max(capacity, MIN_CAPACITY), MAX_CAPACITY)
+        self._values = array("d", [0.0])
+        self._state = (0.0, 0.0, 0.0)  # (hi, lo, v) after the last entry
+        self._lock = threading.Lock()
+
+    @property
+    def values(self) -> array:
+        """All entries H_0..H_max_index (materializes the whole table)."""
+        return self._grow(self.max_index)
+
+    def _grow(self, n: int) -> array:
+        """Materialize entries through at least index n <= max_index.
+
+        Readers hold whichever array they loaded; a grown copy is swapped
+        in whole, so no reader ever sees a half-written entry.
+        """
+        with self._lock:
+            values = self._values
+            done = len(values) - 1
+            if n <= done:
+                return values
+            target = min(max(n, 2 * done, MIN_CAPACITY), self.max_index)
+            values = array("d", values)
+            hi, lo, v = self._state
+            nextafter = math.nextafter
+            append = values.append
+            for i in range(done + 1, target + 1):
+                x = 1.0 / i
+                # two-sum of hi + x, error folded into lo
+                s = hi + x
+                b = s - hi
+                lo += (hi - (s - b)) + (x - b)
+                t = s + lo
+                lo -= t - s
+                hi = t
+                # plain rounded step, nudged toward the exact sum when the
+                # neighbouring float still honours the step bound
+                c = v + x
+                if c != hi:
+                    nb = nextafter(c, hi)
+                    if abs((nb - v) - x) <= STEP_BOUND:
+                        c = nb
+                v = c
+                append(v)
+            self._state = (hi, lo, v)
+            self._values = values
+            return values
 
     def __repr__(self) -> str:
         return f"HarmonicTable(max_index={self.max_index})"
@@ -130,7 +160,10 @@ def harmonic(table: HarmonicTable, n: int) -> float:
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
     if n <= table.max_index:
-        return table.values[n]
+        try:
+            return table._values[n]
+        except IndexError:
+            return table._grow(n)[n]
     return _tail(n)
 
 

@@ -1,9 +1,11 @@
 """Longest-common-subsequence lengths over interned symbol sequences.
 
-Several engines share one contract (the exact LCS length); a dispatcher
-picks between them.  Only lengths are ever computed: every quantity the
-distance needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no
-traceback is kept and all engines run in O(min(|a|, |b|)) space.
+Several engines share one contract (the exact LCS length).  The
+bit-parallel engine is the production one, run by ``lcs_len`` for
+``auto``; ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named
+oracles.  Only lengths are ever computed: every quantity the distance
+needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no traceback
+is kept and all engines run in O(min(|a|, |b|)) space.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -13,24 +15,15 @@ between concurrent distance computations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .errors import CapacityError
 
 Engine = Literal["auto", "dp", "bitparallel", "huntszymanski", "bruteforce"]
 
 ENGINES = ("auto", "dp", "bitparallel", "huntszymanski", "bruteforce")
-
-#: ``auto`` switches to the bit-parallel engine above this length.
-BITPARALLEL_MIN_LENGTH = 64
-
-#: ``auto`` switches to Hunt-Szymanski below this match density.
-SPARSE_DENSITY = 1.0 / 16.0
 
 #: Brute force enumerates 2^min subsequences; refuse beyond this.
 BRUTE_FORCE_LIMIT = 20
@@ -86,8 +79,11 @@ def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:
     Each row obeys cur[j] = max(prev[j], prev[j-1] + match, cur[j-1]);
     the cur[j-1] dependency is a running maximum, so a row is computed as
     an elementwise candidate followed by a prefix maximum.  Rows are kept
-    over the shorter input: O(|a|*|b|) time, O(min) space.
+    over the shorter input: O(|a|*|b|) time, O(min) space.  numpy is
+    imported here, so only callers of this oracle pay for loading it.
     """
+    import numpy as np
+
     xs, ys = a.ids, b.ids
     if len(xs) < len(ys):
         xs, ys = ys, xs
@@ -196,40 +192,21 @@ def lcs_len_bruteforce(a: SymbolSeq, b: SymbolSeq) -> int:
     return best
 
 
-def _match_count(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    ca = Counter(xs)
-    cb = Counter(ys)
-    if len(cb) < len(ca):
-        ca, cb = cb, ca
-    return sum(k * cb[s] for s, k in ca.items() if s in cb)
-
-
 def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
     """LCS length via the requested engine.
 
-    ``auto`` picks the bit-parallel engine once both inputs exceed
-    BITPARALLEL_MIN_LENGTH, Hunt-Szymanski when the match density
-    r/(|a|*|b|) falls below SPARSE_DENSITY, and the dp engine otherwise.
-    The thresholds are tuning knobs; every engine returns the same value.
+    ``auto`` is the bit-parallel engine; every engine returns the same
+    value.
     """
+    if engine == "auto" or engine == "bitparallel":
+        return lcs_len_bitparallel(a, b)
     if engine == "dp":
         return lcs_len_dp(a, b)
-    if engine == "bitparallel":
-        return lcs_len_bitparallel(a, b)
     if engine == "huntszymanski":
         return lcs_len_hunt_szymanski(a, b)
     if engine == "bruteforce":
         return lcs_len_bruteforce(a, b)
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    la, lb = len(a.ids), len(b.ids)
-    if la == 0 or lb == 0:
-        return 0
-    if min(la, lb) > BITPARALLEL_MIN_LENGTH:
-        return lcs_len_bitparallel(a, b)
-    if _match_count(a.ids, b.ids) < SPARSE_DENSITY * la * lb:
-        return lcs_len_hunt_szymanski(a, b)
-    return lcs_len_dp(a, b)
+    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 def scs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:

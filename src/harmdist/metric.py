@@ -43,13 +43,6 @@ class DistanceBreakdown:
     total: float
 
 
-def _canonical(a: SymbolSeq, b: SymbolSeq) -> tuple[SymbolSeq, SymbolSeq]:
-    # Fixed evaluation order makes symmetry hold bit for bit.
-    if (len(b.ids), b.ids) < (len(a.ids), a.ids):
-        return b, a
-    return a, b
-
-
 def distance(
     a: SymbolSeq,
     b: SymbolSeq,
@@ -57,15 +50,18 @@ def distance(
     table: HarmonicTable | None = None,
     engine: Engine = "auto",
 ) -> float:
-    """The harmonic edit distance; zero exactly when a == b."""
+    """The harmonic edit distance; zero exactly when a == b.
+
+    Symmetric bit for bit: the LCS length is an exact integer, so swapping
+    a and b only swaps the two summands, and IEEE addition commutes.
+    """
     if a.ids == b.ids:
         return 0.0
     if table is None:
         table = default_table()
-    a, b = _canonical(a, b)
-    la, lb = len(a.ids), len(b.ids)
-    scs = la + lb - lcs_len(a, b, engine)
-    return harmonic_diff(table, la, scs) + harmonic_diff(table, lb, scs)
+    return _distance_from_lengths(
+        len(a.ids), len(b.ids), lcs_len(a, b, engine), table
+    )
 
 
 def distance_decomposed(

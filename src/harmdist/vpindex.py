@@ -307,7 +307,8 @@ class VpTree:
         """Load a saved tree and bind it to the corpus it was built from.
 
         Rejects wrong magic, unsupported versions, corpus size mismatches,
-        and malformed node arrays.
+        malformed node arrays, pivot or leaf indices outside the corpus,
+        and leaves that do not hold every corpus index exactly once.
         """
         corpus = tuple(corpus)
         data = Path(path).read_bytes()
@@ -353,6 +354,16 @@ class VpTree:
         if offset != len(data):
             raise IndexFormatError("trailing bytes after node array")
 
+        # every corpus index must sit in exactly one leaf: a missing one
+        # would never be returned, a repeated one returned twice
+        held = bytearray(corpus_size)
+
+        def check_index(i: int, what: str) -> None:
+            if i >= corpus_size:
+                raise IndexFormatError(
+                    f"{what} index {i} outside a corpus of {corpus_size}"
+                )
+
         def resolve(idx: int, depth: int) -> _Node:
             if not 0 <= idx < len(records):
                 raise IndexFormatError(f"child offset {idx} out of range")
@@ -360,8 +371,14 @@ class VpTree:
                 raise IndexFormatError("node links form a cycle")
             rec = records[idx]
             if rec[0] == "leaf":
+                for i in rec[1]:
+                    check_index(i, "leaf")
+                    if held[i]:
+                        raise IndexFormatError(f"corpus index {i} repeats in the leaves")
+                    held[i] = 1
                 return _Leaf(tuple(rec[1]))
             _, pivot, radius, inside, outside = rec
+            check_index(pivot, "pivot")
             return _Inner(
                 pivot, radius, resolve(inside, depth + 1), resolve(outside, depth + 1)
             )
@@ -369,6 +386,8 @@ class VpTree:
         if not records:
             raise IndexFormatError("index contains no nodes")
         root = resolve(0, 0)
+        if not all(held):
+            raise IndexFormatError(f"corpus index {held.index(0)} is in no leaf")
         if table is None:
             table = default_table()
         return cls(corpus, root, seed, table, engine)

@@ -7,6 +7,7 @@ Each criterion prints a single pass/fail line; run with
 to see them.  Tolerances are fixed here, not configurable.
 """
 
+import gc
 import random
 import statistics
 import subprocess
@@ -311,21 +312,33 @@ def test_criterion_9_performance_sanity():
     distance(a, b)  # warm the harmonic table before timing
     runs = 20
 
-    def medtime(fn):
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return statistics.median(times)
+    def paired(fa, fb):
+        # Interleaved ABAB with the collector off: no collection pause
+        # lands in a sample, and each B run is timed right after its A
+        # run, so the host's speed drift hits both runs of a pair alike.
+        # The cost ratio is the median of the per-pair ratios B/A.
+        ta, tb = [], []
+        gc.disable()
+        try:
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                fa()
+                t1 = time.perf_counter()
+                fb()
+                t2 = time.perf_counter()
+                ta.append(t1 - t0)
+                tb.append(t2 - t1)
+        finally:
+            gc.enable()
+        ratio = statistics.median(y / x for x, y in zip(ta, tb))
+        return statistics.median(ta), statistics.median(tb), ratio
 
-    dp_med = medtime(lambda: lcs_len_dp(a, b))
-    bp_med = medtime(lambda: lcs_len_bitparallel(a, b))
-    speedup = dp_med / bp_med
+    dp_med, bp_med, bp_per_dp = paired(
+        lambda: lcs_len_dp(a, b), lambda: lcs_len_bitparallel(a, b)
+    )
+    speedup = 1.0 / bp_per_dp
 
-    lcs_med = medtime(lambda: lcs_len(a, b))
-    dist_med = medtime(lambda: distance(a, b))
-    overhead = dist_med / lcs_med
+    _, _, overhead = paired(lambda: lcs_len(a, b), lambda: distance(a, b))
 
     ok = speedup >= 5.0 and overhead <= 1.05
     verdict(

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from helpers import BAD_INDEXES_OF_12, hvpt_bytes
+
 PKG = [sys.executable, "-m", "harmdist"]
 
 
@@ -27,6 +29,20 @@ def test_dist_identical():
     r = run("dist", "abc", "abc")
     assert r.returncode == 0
     assert out(r) == "0.000000000000\n"
+
+
+def test_dist_leaves_numpy_unloaded():
+    # numpy is imported only by the dp oracle
+    probe = (
+        "import sys; from harmdist import cli; "
+        "assert cli.main(['dist', 'abc', 'abd']) == 0; "
+        "print('numpy' in sys.modules); "
+        "assert cli.main(['dist', 'abc', 'abd', '--engine', 'dp']) == 0; "
+        "print('numpy' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert out(r) == "0.500000000000\nFalse\n0.500000000000\nTrue\n"
 
 
 def test_dist_substitution():
@@ -173,6 +189,18 @@ def test_knn_corrupt_index_file(corpus_file, tmp_path):
     index.write_bytes(b"garbage bytes")
     r = run("knn", str(corpus_file), "cherry", "--index", str(index))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
+def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
+    index = tmp_path / "bad.hvpt"
+    index.write_bytes(hvpt_bytes(12, BAD_INDEXES_OF_12[case]))
+    r = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert b"Traceback" not in r.stderr
 
 
 def test_knn_empty_corpus(tmp_path):

@@ -1,5 +1,10 @@
+import hashlib
 import importlib
 import math
+import random
+import sys
+import threading
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -173,3 +178,69 @@ def test_default_table_honours_env(monkeypatch):
     monkeypatch.setenv("HARMDIST_TABLE_SIZE", "128")
     assert default_table().max_index == 128
     monkeypatch.setattr(hmod, "_default_table", None)
+
+
+# -- lazy growth -----------------------------------------------------------------
+
+#: SHA-256 of the little-endian bytes of all 2^20 + 1 entries, as built in
+#: one eager pass before the table grew on demand.
+FULL_TABLE_SHA256 = "fff4b0dd55199a0dd14e8f67a1f5bfa46c67c284c9648fb514ab93af6981a9f7"
+
+
+def _le_bytes(values) -> bytes:
+    values = array("d", values)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tobytes()
+
+
+def test_construction_materializes_nothing():
+    table = HarmonicTable()
+    assert table.max_index == MAX_CAPACITY
+    assert len(table._values) == 1
+    assert harmonic(table, 5) == table._values[5]
+    assert len(table._values) < 1000
+
+
+def test_growth_in_irregular_steps_is_bit_identical():
+    grown = HarmonicTable(MAX_CAPACITY)
+    for n in (10, 1000, 70_000, 3, 70_001):
+        harmonic(grown, n)
+    assert len(grown._values) - 1 < grown.max_index  # not yet full
+    whole = HarmonicTable(MAX_CAPACITY)
+    assert _le_bytes(grown.values) == _le_bytes(whole.values)
+    assert hashlib.sha256(_le_bytes(whole.values)).hexdigest() == FULL_TABLE_SHA256
+
+
+def test_concurrent_growth_gives_same_values():
+    reference = HarmonicTable(MAX_CAPACITY).values
+    table = HarmonicTable(MAX_CAPACITY)
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    results: list = [None] * threads_n
+    rng = random.Random(11)
+    # small, large and boundary indices in a different order per thread
+    indices = [rng.randrange(MAX_CAPACITY + 1) for _ in range(300)]
+    indices += [0, 1, MIN_CAPACITY, MAX_CAPACITY]
+
+    def work(k: int) -> None:
+        order = indices[:]
+        random.Random(k).shuffle(order)
+        barrier.wait(timeout=30)
+        results[k] = [(n, harmonic(table, n)) for n in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for result in results:
+        assert result is not None
+        assert all(value == reference[n] for n, value in result)
+    assert _le_bytes(table.values) == _le_bytes(reference)

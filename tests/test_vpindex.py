@@ -4,7 +4,7 @@ import pytest
 
 from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
 from harmdist.vpindex import LEAF_SIZE, _Leaf
-from helpers import random_seq
+from helpers import BAD_INDEXES_OF_12, hvpt_bytes, random_seq
 
 TABLE = HarmonicTable(10_000)
 
@@ -195,3 +195,20 @@ def test_load_rejects_truncation(tmp_path, corpus, tree):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError):
         VpTree.load(path, corpus, table=TABLE)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
+def test_load_rejects_indices_that_do_not_partition_the_corpus(tmp_path, case):
+    path = tmp_path / f"{case}.hvpt"
+    path.write_bytes(hvpt_bytes(12, BAD_INDEXES_OF_12[case]))
+    with pytest.raises(IndexFormatError):
+        VpTree.load(path, make_corpus(12), table=TABLE)
+
+
+def test_load_accepts_a_hand_made_partition(tmp_path):
+    path = tmp_path / "good.hvpt"
+    path.write_bytes(hvpt_bytes(12, [("leaf", tuple(range(11, -1, -1)))]))
+    corpus = make_corpus(12)
+    loaded = VpTree.load(path, corpus, table=TABLE)
+    q = corpus[3]
+    assert loaded.knn(q, 12) == linear_knn(corpus, q, 12)

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: ``dist`` (one pair), ``matrix`` (pairwise TSV over a file),
-``knn`` (nearest neighbours via the vantage-point index), ``check`` (the
-metric-axiom and lemma verification suites).
+``knn`` (nearest neighbours by linear scan, or through a saved
+vantage-point index), ``check`` (the metric-axiom and lemma verification
+suites).
 
 Exit codes: 0 success, 1 usage or infeasible request, 2 I/O or encoding
 failure, 3 verification found violations.
@@ -27,6 +28,7 @@ from .metric import distance
 from .propcheck import (
     FIXTURES,
     GenConfig,
+    VerificationReport,
     all_pairs,
     random_chains,
     random_pairs,
@@ -146,20 +148,18 @@ def cmd_knn(args) -> int:
     query = interner.seq(_tokens(args.query, args.mode))
     seed = args.seed if args.seed is not None else 0
 
-    if args.no_index:
+    if args.index:
+        if Path(args.index).exists():
+            tree = VpTree.load(args.index, seqs, engine=args.engine)
+        else:
+            tree = VpTree.build(seqs, seed, engine=args.engine)
+            tree.save(args.index)
+        results = tree.knn(query, args.k)
+    else:
         ranked = sorted(
             (distance(query, s, engine=args.engine), i) for i, s in enumerate(seqs)
         )
         results = [(i, d) for d, i in ranked[: args.k]]
-    else:
-        tree = None
-        if args.index and Path(args.index).exists():
-            tree = VpTree.load(args.index, seqs, engine=args.engine)
-        if tree is None:
-            tree = VpTree.build(seqs, seed, engine=args.engine)
-            if args.index:
-                tree.save(args.index)
-        results = tree.knn(query, args.k)
 
     for rank, (idx, d) in enumerate(results, start=1):
         line = lines[idx]
@@ -169,7 +169,6 @@ def cmd_knn(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rational = not args.use_float
     seed = args.seed if args.seed is not None else 0
     mode = "exhaustive" if args.exhaustive else "random"
     config = GenConfig(
@@ -179,58 +178,28 @@ def cmd_check(args) -> int:
         seed=seed,
         mode=mode,
     )
-    table = default_table()
-    dist = None
-    if args.fixture:
-        dist = FIXTURES[args.fixture](rational=rational, table=table)
-
-    reports = [
-        verify_metric_axioms(config, rational=rational, dist=dist, table=table)
-    ]
+    tier = {"rational": not args.use_float, "table": default_table()}
+    dist = FIXTURES[args.fixture](**tier) if args.fixture else None
     if mode == "exhaustive":
         strings = universe(config.alphabet_size, config.max_length)
-        reports.append(
-            verify_lemma_scs(all_pairs(strings), rational=rational, table=table)
-        )
-        reports.append(
-            verify_lemma_lcs_triangle(
-                all_pairs(strings), rational=rational, table=table
-            )
-        )
+        pairs, pair_seed = (lambda: all_pairs(strings)), None
     else:
-        reports.append(
-            verify_lemma_scs(
-                random_pairs(config), rational=rational, table=table, seed=seed
-            )
-        )
-        reports.append(
-            verify_lemma_lcs_triangle(
-                random_pairs(config), rational=rational, table=table, seed=seed
-            )
-        )
-    reports.append(
-        verify_lemma_chain(
-            random_chains(config), rational=rational, table=table, seed=seed
-        )
-    )
-
-    properties = [p for rep in reports for p in rep.properties]
+        pairs, pair_seed = (lambda: random_pairs(config)), seed
+    reports = [
+        verify_metric_axioms(config, dist=dist, **tier),
+        verify_lemma_scs(pairs(), seed=pair_seed, **tier),
+        verify_lemma_lcs_triangle(pairs(), seed=pair_seed, **tier),
+        verify_lemma_chain(random_chains(config), seed=seed, **tier),
+    ]
+    report = VerificationReport([p for rep in reports for p in rep.properties])
     if args.json:
-        payload = {
-            "properties": [
-                entry for rep in reports for entry in rep.as_dict()["properties"]
-            ],
-            "total_violations": sum(p.violations for p in properties),
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(report.as_dict(), sort_keys=True))
     else:
-        for rep in reports:
-            print(rep.as_text())
+        print(report.as_text())
 
-    violations = sum(p.violations for p in properties)
-    if violations == 0:
+    if report.total_violations == 0:
         return EXIT_OK
-    for prop in properties:
+    for prop in report.properties:
         if not prop.counterexamples:
             continue
         cx = shrink(prop.counterexamples[0])
@@ -291,10 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     group = p.add_mutually_exclusive_group()
     group.add_argument(
-        "--index", metavar="PATH", help="load the index from PATH, building it first if missing"
+        "--index",
+        metavar="PATH",
+        help="query a vantage-point index loaded from PATH, building and saving "
+        "it first if missing",
     )
     group.add_argument(
-        "--no-index", action="store_true", help="linear scan instead of the index"
+        "--no-index", action="store_true", help="linear scan (the default)"
     )
     p.set_defaults(func=cmd_knn)
 

@@ -104,8 +104,8 @@ def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
     """Bit-vector LCS: one row state packed into a single big integer.
 
     The shorter input is laid out along the bits; per symbol s a match
-    mask marks its positions, built on first use and cached for the rest
-    of the pair.  For each symbol of the longer input the row update is
+    mask marks its positions, all built in one pass over that input.  For
+    each symbol of the longer input the row update is
 
         u = row & mask;  row = ((row + u) | (row - u)) & full
 
@@ -121,19 +121,15 @@ def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
     m = len(xs)
     if m == 0 or len(ys) == 0:
         return 0
-    positions: dict[int, list[int]] = {}
-    for i, s in enumerate(xs):
-        positions.setdefault(s, []).append(i)
     masks: dict[int, int] = {}
-    full = (1 << m) - 1
+    bit = 1
+    for s in xs:
+        masks[s] = masks.get(s, 0) | bit
+        bit <<= 1
+    full = bit - 1
     row = full
     for s in ys:
         mask = masks.get(s)
-        if mask is None:
-            mask = 0
-            for p in positions.get(s, ()):
-                mask |= 1 << p
-            masks[s] = mask
         if mask:
             u = row & mask
             row = ((row + u) | (row - u)) & full

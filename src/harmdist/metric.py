@@ -118,8 +118,7 @@ def distance_exact(
         )
     if a.ids == b.ids:
         return Fraction(0)
-    scs = la + lb - lcs_len(a, b, engine)
-    return 2 * harmonic_exact(scs) - harmonic_exact(la) - harmonic_exact(lb)
+    return _distance_exact_from_lengths(la, lb, lcs_len(a, b, engine))
 
 
 def _distance_from_lengths(

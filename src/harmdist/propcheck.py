@@ -1,15 +1,16 @@
 """Executable verification of the metric axioms and supporting identities.
 
-Two arithmetic tiers share one harness.  The rational tier evaluates
-every distance exactly and demands exact inequalities; it is the
-authority.  The float tier runs the production code path and tolerates
-bounded rounding (AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the
-equalities).  Checks run either exhaustively over every string on a
-small alphabet or statistically over seeded random samples; in both
-cases the report is a pure function of (config, seed).
+Every property is written once, as a gap: a signed margin, negative
+meaning broken.  One private arithmetic tier evaluates the gaps and
+judges them.  The rational tier evaluates every distance exactly and
+calls any negative gap a violation; it is the authority.  The float tier
+runs the production code path and tolerates bounded rounding
+(AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the equalities).
+Checks run either exhaustively over every string on a small alphabet or
+statistically over seeded random samples; both modes feed the same gap
+definitions, and in both the report is a pure function of (config, seed).
 
-Violations are recorded as counterexamples carrying a signed slack,
-negative meaning broken.  Slack is the margin natural to each property:
+The gap of each property, reported as the counterexample's slack:
 
 * symmetry          -|d(a,b) - d(b,a)|
 * identity          -d(a,a) on the diagonal; off it, d(a,b) minus the
@@ -248,15 +249,48 @@ def random_pairs(config: GenConfig) -> Iterable[tuple[SymbolSeq, SymbolSeq]]:
 
 
 # ---------------------------------------------------------------------------
-# distance providers
+# arithmetic tier
 
 Dist = Callable[[SymbolSeq, SymbolSeq], float | Fraction]
 
 
-def _default_dist(rational: bool, table: HarmonicTable) -> Dist:
-    if rational:
-        return distance_exact
-    return lambda a, b: distance(a, b, table=table)
+class _Tier:
+    """Exact or float arithmetic over one harmonic table.
+
+    This is the only place the two tiers differ: the rational tier
+    computes with ``Fraction`` and calls any negative gap a violation; the
+    float tier runs the production code path and forgives gaps down to
+    ``-tolerance``.
+    """
+
+    def __init__(self, rational: bool, table: HarmonicTable | None = None):
+        self.rational = rational
+        self.table = table if table is not None else default_table()
+        self.zero = Fraction(0) if rational else 0.0
+
+    def dist(self, a: SymbolSeq, b: SymbolSeq):
+        if self.rational:
+            return distance_exact(a, b)
+        return distance(a, b, table=self.table)
+
+    def from_lengths(self, la: int, lb: int, lcs: int):
+        """The distance forced by the three lengths alone."""
+        if self.rational:
+            return _distance_exact_from_lengths(la, lb, lcs)
+        return _distance_from_lengths(la, lb, lcs, self.table)
+
+    def diff(self, lo: int, hi: int):
+        """H_hi - H_lo."""
+        if self.rational:
+            return harmonic_exact(hi) - harmonic_exact(lo)
+        return harmonic_diff(self.table, lo, hi)
+
+    def judge(self, gap, tolerance: float) -> tuple[bool, float, Fraction | None]:
+        """(violated, slack, exact_slack) of one gap."""
+        if self.rational:
+            return gap < 0, float(gap), gap
+        gap += 0.0  # normalize -0.0 away
+        return gap < -tolerance, gap, None
 
 
 def broken_min_lcs_distance(
@@ -264,13 +298,9 @@ def broken_min_lcs_distance(
 ) -> Dist:
     """Deliberately wrong distance with the LCS length replaced by
     min(|a|, |b|); exists to prove the harness catches planted bugs."""
-    if rational:
-        return lambda a, b: _distance_exact_from_lengths(
-            len(a.ids), len(b.ids), min(len(a.ids), len(b.ids))
-        )
-    tab = table if table is not None else default_table()
-    return lambda a, b: _distance_from_lengths(
-        len(a.ids), len(b.ids), min(len(a.ids), len(b.ids)), tab
+    tier = _Tier(rational, table)
+    return lambda a, b: tier.from_lengths(
+        len(a.ids), len(b.ids), min(len(a.ids), len(b.ids))
     )
 
 
@@ -279,13 +309,25 @@ FIXTURES: dict[str, Callable[..., Dist]] = {
 }
 
 
-def _min_positive(la: int, lb: int, rational: bool, table: HarmonicTable):
+# ---------------------------------------------------------------------------
+# axioms as gaps over distances, shared by the exhaustive and random runs
+
+
+def _symmetry_gap(dab, dba):
+    return -abs(dab - dba)
+
+
+def _identity_gap(tier: _Tier, a: SymbolSeq, b: SymbolSeq, dab):
+    if a.ids == b.ids:
+        return -dab
     # Smallest distance the formula allows for distinct strings of these
     # lengths: lcs <= min, and lcs <= min-1 when the lengths coincide.
-    floor_lcs = min(la, lb) - (1 if la == lb else 0)
-    if rational:
-        return _distance_exact_from_lengths(la, lb, floor_lcs)
-    return _distance_from_lengths(la, lb, floor_lcs, table)
+    la, lb = len(a.ids), len(b.ids)
+    return dab - tier.from_lengths(la, lb, min(la, lb) - (la == lb))
+
+
+def _triangle_gap(dab, dbc, dac):
+    return dab + dbc - dac
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +335,33 @@ def _min_positive(la: int, lb: int, rational: bool, table: HarmonicTable):
 
 
 class _Collector:
-    """Accumulates checks for one property."""
+    """Accumulates the judged gaps of one property.
 
-    def __init__(self, name: str, rational: bool, tolerance: float, checker: Checker):
+    ``gap`` evaluates the property on any triple; it makes the checker
+    that counterexamples carry for shrinking.
+    """
+
+    def __init__(self, name: str, tier: _Tier, tolerance: float, gap):
         self.name = name
-        self.rational = rational
+        self.tier = tier
         self.tolerance = tolerance
-        self.checker = checker
+        self.checker: Checker = lambda t: tier.judge(gap(t), tolerance)
         self.checked = 0
         self.counterexamples: list[Counterexample] = []
         self.overflow = 0
+        self.min_gap = None
         self.min_slack = None
         self.min_slack_exact = None
 
-    def record(self, triple, slack, exact_slack) -> None:
+    def record(self, triple, gap) -> None:
+        violated, slack, exact = self.tier.judge(gap, self.tolerance)
         self.checked += 1
-        slack = slack + 0.0  # normalize -0.0 away
-        key = exact_slack if self.rational else slack
-        best = self.min_slack_exact if self.rational else self.min_slack
-        if best is None or key < best:
-            self.min_slack = float(slack)
-            self.min_slack_exact = exact_slack
-        violated = (
-            exact_slack < 0 if self.rational else slack < -self.tolerance
-        )
+        if self.min_gap is None or gap < self.min_gap:
+            self.min_gap, self.min_slack, self.min_slack_exact = gap, slack, exact
         if violated:
             if len(self.counterexamples) < MAX_STORED:
                 self.counterexamples.append(
-                    Counterexample(
-                        triple, self.name, float(slack), exact_slack, self.checker
-                    )
+                    Counterexample(triple, self.name, slack, exact, self.checker)
                 )
             else:
                 self.overflow += 1
@@ -343,38 +382,9 @@ class _Collector:
             len(cxs) + self.overflow,
             cxs,
             self.min_slack,
-            self.min_slack_exact if self.rational else None,
+            self.min_slack_exact,
             seed,
         )
-
-
-def _make_checkers(
-    dist: Dist, rational: bool, table: HarmonicTable
-) -> dict[str, Checker]:
-    def split(value):
-        if rational:
-            return float(value), value
-        return value, None
-
-    def symmetry(t):
-        slack, exact = split(-abs(dist(t[0], t[1]) - dist(t[1], t[0])))
-        return (exact < 0 if rational else slack < -AXIOM_TOLERANCE), slack, exact
-
-    def identity(t):
-        a, b = t[0], t[1]
-        if a.ids == b.ids:
-            slack, exact = split(-dist(a, b))
-        else:
-            margin = _min_positive(len(a.ids), len(b.ids), rational, table)
-            slack, exact = split(dist(a, b) - margin)
-        return (exact < 0 if rational else slack < -AXIOM_TOLERANCE), slack, exact
-
-    def triangle(t):
-        a, b, c = t
-        slack, exact = split(dist(a, b) + dist(b, c) - dist(a, c))
-        return (exact < 0 if rational else slack < -AXIOM_TOLERANCE), slack, exact
-
-    return {"symmetry": symmetry, "identity": identity, "triangle": triangle}
 
 
 def verify_metric_axioms(
@@ -390,99 +400,64 @@ def verify_metric_axioms(
     Violations are data, not errors: they come back as counterexamples
     inside the report.
     """
-    if table is None:
-        table = default_table()
-    if dist is None:
-        dist = _default_dist(rational, table)
-    checkers = _make_checkers(dist, rational, table)
-    tol = AXIOM_TOLERANCE
-    collectors = {
-        name: _Collector(name, rational, tol, checkers[name])
-        for name in ("symmetry", "identity", "triangle")
-    }
+    tier = _Tier(rational, table)
+    d = dist if dist is not None else tier.dist
+    sym = _Collector(
+        "symmetry", tier, AXIOM_TOLERANCE,
+        lambda t: _symmetry_gap(d(t[0], t[1]), d(t[1], t[0])),
+    )
+    ident = _Collector(
+        "identity", tier, AXIOM_TOLERANCE,
+        lambda t: _identity_gap(tier, t[0], t[1], d(t[0], t[1])),
+    )
+    tri = _Collector(
+        "triangle", tier, AXIOM_TOLERANCE,
+        lambda t: _triangle_gap(d(t[0], t[1]), d(t[1], t[2]), d(t[0], t[2])),
+    )
     if config.mode == "exhaustive":
-        _axioms_exhaustive(config, dist, rational, table, collectors)
+        strings = universe(config.alphabet_size, config.max_length)
+        matrix = [[d(a, b) for b in strings] for a in strings]
+        for i, a in enumerate(strings):
+            ident.record((a, a, EMPTY), _identity_gap(tier, a, a, matrix[i][i]))
+        for i, a in enumerate(strings):
+            for j in range(i + 1, len(strings)):
+                b, dab = strings[j], matrix[i][j]
+                sym.record((a, b, EMPTY), _symmetry_gap(dab, matrix[j][i]))
+                ident.record((a, b, EMPTY), _identity_gap(tier, a, b, dab))
+        # _triangle_gap inlined: this loop runs n^3 times
+        for i, a in enumerate(strings):
+            di = matrix[i]
+            for j, b in enumerate(strings):
+                dab, dj = di[j], matrix[j]
+                for k, c in enumerate(strings):
+                    tri.record((a, b, c), dab + dj[k] - di[k])
         seed = None
     else:
-        _axioms_random(config, dist, rational, table, collectors)
+        for a, b, c in random_triples(config):
+            dab = d(a, b)
+            sym.record((a, b, EMPTY), _symmetry_gap(dab, d(b, a)))
+            ident.record((a, a, EMPTY), _identity_gap(tier, a, a, d(a, a)))
+            ident.record((a, b, EMPTY), _identity_gap(tier, a, b, dab))
+            tri.record((a, b, c), _triangle_gap(dab, d(b, c), d(a, c)))
         seed = config.seed
-    return VerificationReport(
-        [collectors[n].report(seed) for n in ("symmetry", "identity", "triangle")]
-    )
-
-
-def _axioms_exhaustive(config, dist, rational, table, collectors):
-    strings = universe(config.alphabet_size, config.max_length)
-    n = len(strings)
-    sym = collectors["symmetry"]
-    ident = collectors["identity"]
-    tri = collectors["triangle"]
-
-    # Pair-distance cache; symmetry is checked from explicit evaluations
-    # of both argument orders before the cache is trusted.
-    d = [[None] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = dist(strings[i], strings[i])
-        ident.record(
-            (strings[i], strings[i], EMPTY), *_eval(ident, strings[i], strings[i])
-        )
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = dist(strings[i], strings[j])
-            dji = dist(strings[j], strings[i])
-            d[i][j] = d[j][i] = dij
-            gap = -abs(dij - dji)
-            slack, exact = (float(gap), gap) if rational else (gap, None)
-            sym.record((strings[i], strings[j], EMPTY), slack, exact)
-            ident.record(
-                (strings[i], strings[j], EMPTY),
-                *_eval(ident, strings[i], strings[j]),
-            )
-    for i in range(n):
-        di = d[i]
-        for j in range(n):
-            dij = di[j]
-            dj = d[j]
-            for k in range(n):
-                gap = dij + dj[k] - di[k]
-                slack, exact = (float(gap), gap) if rational else (gap, None)
-                tri.record((strings[i], strings[j], strings[k]), slack, exact)
-
-
-def _eval(collector, a, b):
-    _, slack, exact = collector.checker((a, b, EMPTY))
-    return slack, exact
-
-
-def _axioms_random(config, dist, rational, table, collectors):
-    sym = collectors["symmetry"]
-    ident = collectors["identity"]
-    tri = collectors["triangle"]
-    for a, b, c in random_triples(config):
-        _, s, e = sym.checker((a, b, EMPTY))
-        sym.record((a, b, EMPTY), s, e)
-        ident.record((a, a, EMPTY), *_eval(ident, a, a))
-        ident.record((a, b, EMPTY), *_eval(ident, a, b))
-        _, s, e = tri.checker((a, b, c))
-        tri.record((a, b, c), s, e)
+    return VerificationReport([c.report(seed) for c in (sym, ident, tri)])
 
 
 # ---------------------------------------------------------------------------
 # lemma suites
 
 
-def _run_pairs(
+def _run_property(
     name: str,
-    items: Iterable,
-    checker: Checker,
-    rational: bool,
+    tier: _Tier,
     tolerance: float,
+    gap,
+    triples: Iterable[tuple[SymbolSeq, SymbolSeq, SymbolSeq]],
     seed: int | None,
 ) -> VerificationReport:
-    collector = _Collector(name, rational, tolerance, checker)
-    for triple in items:
-        _, slack, exact = checker(triple)
-        collector.record(triple, slack, exact)
+    collector = _Collector(name, tier, tolerance, gap)
+    for triple in triples:
+        collector.record(triple, gap(triple))
     return VerificationReport([collector.report(seed)])
 
 
@@ -495,24 +470,16 @@ def verify_lemma_scs(
 ) -> VerificationReport:
     """The distance splits exactly at a shortest common supersequence:
     d(a, b) = d(a, scs) + d(scs, b), both terms needing only lengths."""
-    tab = table if table is not None else default_table()
+    tier = _Tier(rational, table)
 
-    def checker(t):
+    def gap(t):
         a, b = t[0], t[1]
         la, lb = len(a.ids), len(b.ids)
         scs = la + lb - lcs_len(a, b)
-        if rational:
-            lhs = distance_exact(a, b)
-            rhs = _distance_exact_from_lengths(la, lb, la + lb - scs)
-            gap = -abs(lhs - rhs)
-            return gap < 0, float(gap), gap
-        lhs = distance(a, b, table=tab)
-        rhs = _distance_from_lengths(la, lb, la + lb - scs, tab)
-        gap = -abs(lhs - rhs)
-        return gap < -LEMMA_TOLERANCE, gap, None
+        return -abs(tier.dist(a, b) - (tier.diff(la, scs) + tier.diff(lb, scs)))
 
     triples = ((a, b, EMPTY) for a, b in pairs)
-    return _run_pairs("lemma_scs", triples, checker, rational, LEMMA_TOLERANCE, seed)
+    return _run_property("lemma_scs", tier, LEMMA_TOLERANCE, gap, triples, seed)
 
 
 def verify_lemma_chain(
@@ -528,17 +495,14 @@ def verify_lemma_chain(
     Every chain must satisfy the subsequence precondition; a violation is
     a generator bug and raises immediately.
     """
-    tab = table if table is not None else default_table()
-    dist = _default_dist(rational, tab)
+    tier = _Tier(rational, table)
+    d = tier.dist
 
-    def checker(t):
+    def gap(t):
         a, b, c = t
         if not (is_subsequence(a, b) and is_subsequence(b, c)):
-            return False, 0.0, Fraction(0) if rational else None
-        gap = -abs(dist(a, c) - dist(a, b) - dist(b, c))
-        if rational:
-            return gap < 0, float(gap), gap
-        return gap < -LEMMA_TOLERANCE, gap, None
+            return tier.zero  # shrinking left the chain: nothing to check
+        return -abs(d(a, c) - d(a, b) - d(b, c))
 
     def validated():
         for a, b, c in chains:
@@ -549,8 +513,8 @@ def verify_lemma_chain(
                 )
             yield a, b, c
 
-    return _run_pairs(
-        "lemma_chain", validated(), checker, rational, LEMMA_TOLERANCE, seed
+    return _run_property(
+        "lemma_chain", tier, LEMMA_TOLERANCE, gap, validated(), seed
     )
 
 
@@ -563,28 +527,16 @@ def verify_lemma_lcs_triangle(
 ) -> VerificationReport:
     """Routing through a longest common subsequence never undercuts the
     direct distance: d(a, b) <= d(a, lcs) + d(lcs, b); slack must be >= 0."""
-    tab = table if table is not None else default_table()
+    tier = _Tier(rational, table)
 
-    def checker(t):
+    def gap(t):
         a, b = t[0], t[1]
-        la, lb = len(a.ids), len(b.ids)
         lcs = lcs_len(a, b)
-        if rational:
-            lhs = distance_exact(a, b)
-            rhs = (
-                (harmonic_exact(la) - harmonic_exact(lcs))
-                + (harmonic_exact(lb) - harmonic_exact(lcs))
-            )
-            gap = rhs - lhs
-            return gap < 0, float(gap), gap
-        lhs = distance(a, b, table=tab)
-        rhs = harmonic_diff(tab, lcs, la) + harmonic_diff(tab, lcs, lb)
-        gap = rhs - lhs
-        return gap < -AXIOM_TOLERANCE, gap, None
+        return tier.diff(lcs, len(a.ids)) + tier.diff(lcs, len(b.ids)) - tier.dist(a, b)
 
     triples = ((a, b, EMPTY) for a, b in pairs)
-    return _run_pairs(
-        "lemma_lcs_triangle", triples, checker, rational, AXIOM_TOLERANCE, seed
+    return _run_property(
+        "lemma_lcs_triangle", tier, AXIOM_TOLERANCE, gap, triples, seed
     )
 
 

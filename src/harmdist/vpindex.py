@@ -51,6 +51,21 @@ class _Inner:
 _Node = _Leaf | _Inner
 
 
+def _preorder(root: _Node):
+    """Every node below root, parents first, inside before outside."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _Inner):
+            stack += (node.outside, node.inside)
+
+
+def _leaf_indices(root: _Node) -> list[int]:
+    leaves = (node for node in _preorder(root) if isinstance(node, _Leaf))
+    return [i for leaf in leaves for i in leaf.indices]
+
+
 @dataclass(frozen=True, slots=True)
 class PruningStats:
     """Distance-evaluation counts for a query batch."""
@@ -182,25 +197,31 @@ class VpTree:
         def bound() -> float:
             return -heap[0][0] if len(heap) == k else float("inf")
 
-        def visit(node: _Node) -> None:
+        # Entries are (node, parent's pivot distance, parent's radius,
+        # whether node is the inside child); the prune bound is tested
+        # when an entry is popped, so it reflects every subtree searched
+        # before it.  The root has no parent and is never pruned.
+        stack: list[tuple[_Node, float, float, bool | None]] = [
+            (self.root, 0.0, 0.0, None)
+        ]
+        while stack:
+            node, dp, radius, is_inside = stack.pop()
+            if is_inside is not None:
+                r = bound()
+                if is_inside:
+                    if not dp - r <= radius + PRUNE_MARGIN:
+                        continue
+                elif not dp + r >= radius - PRUNE_MARGIN:
+                    continue
             if isinstance(node, _Leaf):
                 for i in node.indices:
                     offer(i)
-                return
+                continue
             dp = dist(node.pivot)
-            if dp <= node.radius:
-                order = ((node.inside, True), (node.outside, False))
-            else:
-                order = ((node.outside, False), (node.inside, True))
-            for child, is_inside in order:
-                r = bound()
-                if is_inside:
-                    if dp - r <= node.radius + PRUNE_MARGIN:
-                        visit(child)
-                elif dp + r >= node.radius - PRUNE_MARGIN:
-                    visit(child)
-
-        visit(self.root)
+            inside = (node.inside, dp, node.radius, True)
+            outside = (node.outside, dp, node.radius, False)
+            # the side holding q is pushed last, so it is searched first
+            stack += (outside, inside) if dp <= node.radius else (inside, outside)
         out = sorted((-d, -i) for d, i in heap)
         return [(i, d) for d, i in out], len(cache)
 
@@ -226,35 +247,25 @@ class VpTree:
     def validate(self) -> None:
         """Sweep every node and fail loudly on any structural breach."""
         seen: list[int] = []
-
-        def leaves(node: _Node) -> list[int]:
-            if isinstance(node, _Leaf):
-                return list(node.indices)
-            return leaves(node.inside) + leaves(node.outside)
-
-        def walk(node: _Node) -> None:
+        for node in _preorder(self.root):
             if isinstance(node, _Leaf):
                 seen.extend(node.indices)
-                return
+                continue
             pivot = self.corpus[node.pivot]
-            for i in leaves(node.inside):
+            for i in _leaf_indices(node.inside):
                 d = distance(pivot, self.corpus[i], table=self.table, engine=self.engine)
                 if d > node.radius:
                     raise ValueError(
                         f"inside element {i} at distance {d} exceeds radius "
                         f"{node.radius}"
                     )
-            for i in leaves(node.outside):
+            for i in _leaf_indices(node.outside):
                 d = distance(pivot, self.corpus[i], table=self.table, engine=self.engine)
                 if d < node.radius:
                     raise ValueError(
                         f"outside element {i} at distance {d} undercuts radius "
                         f"{node.radius}"
                     )
-            walk(node.inside)
-            walk(node.outside)
-
-        walk(self.root)
         if sorted(seen) != list(range(len(self.corpus))):
             raise ValueError("corpus elements are not partitioned across leaves")
 
@@ -262,18 +273,9 @@ class VpTree:
     # serialization
 
     def save(self, path) -> None:
-        nodes: list[_Node] = []
-
-        def flatten(node: _Node) -> int:
-            idx = len(nodes)
-            nodes.append(node)
-            if isinstance(node, _Inner):
-                inside = flatten(node.inside)
-                outside = flatten(node.outside)
-                nodes[idx] = (node, inside, outside)  # type: ignore[assignment]
-            return idx
-
-        flatten(self.root)
+        # pre-order numbering, so the root is record 0
+        nodes = list(_preorder(self.root))
+        position = {id(node): idx for idx, node in enumerate(nodes)}
         chunks = [
             MAGIC,
             struct.pack(
@@ -284,12 +286,12 @@ class VpTree:
                 len(nodes),
             ),
         ]
-        for entry in nodes:
-            if isinstance(entry, _Leaf):
-                chunks.append(struct.pack("<BI", 0, len(entry.indices)))
-                chunks.append(struct.pack(f"<{len(entry.indices)}I", *entry.indices))
+        for node in nodes:
+            if isinstance(node, _Leaf):
+                chunks.append(struct.pack("<BI", 0, len(node.indices)))
+                chunks.append(struct.pack(f"<{len(node.indices)}I", *node.indices))
             else:
-                node, inside, outside = entry
+                inside, outside = position[id(node.inside)], position[id(node.outside)]
                 chunks.append(
                     struct.pack("<BIdQQ", 1, node.pivot, node.radius, inside, outside)
                 )
@@ -364,7 +366,19 @@ class VpTree:
                     f"{what} index {i} outside a corpus of {corpus_size}"
                 )
 
-        def resolve(idx: int, depth: int) -> _Node:
+        if not records:
+            raise IndexFormatError("index contains no nodes")
+        # Depth-first from record 0, inside before outside.  An entry
+        # (idx, depth, None) asks to read record idx; (idx, depth, rec)
+        # comes back once both children are built and on ``built``.
+        built: list[_Node] = []
+        stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+        while stack:
+            idx, depth, rec = stack.pop()
+            if rec is not None:
+                outside_node, inside_node = built.pop(), built.pop()
+                built.append(_Inner(rec[1], rec[2], inside_node, outside_node))
+                continue
             if not 0 <= idx < len(records):
                 raise IndexFormatError(f"child offset {idx} out of range")
             if depth > len(records):
@@ -376,16 +390,13 @@ class VpTree:
                     if held[i]:
                         raise IndexFormatError(f"corpus index {i} repeats in the leaves")
                     held[i] = 1
-                return _Leaf(tuple(rec[1]))
-            _, pivot, radius, inside, outside = rec
+                built.append(_Leaf(tuple(rec[1])))
+                continue
+            _, pivot, _, inside, outside = rec
             check_index(pivot, "pivot")
-            return _Inner(
-                pivot, radius, resolve(inside, depth + 1), resolve(outside, depth + 1)
-            )
-
-        if not records:
-            raise IndexFormatError("index contains no nodes")
-        root = resolve(0, 0)
+            stack.append((idx, depth, rec))
+            stack += ((outside, depth + 1, None), (inside, depth + 1, None))
+        (root,) = built
         if not all(held):
             raise IndexFormatError(f"corpus index {held.index(0)} is in no leaf")
         if table is None:

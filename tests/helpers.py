@@ -52,7 +52,7 @@ def hvpt_bytes(corpus_size: int, nodes) -> bytes:
 
 #: Index files over a 12-string corpus that must be rejected: a pivot or
 #: a leaf index outside the corpus, one index listed twelve times, one
-#: index missing.
+#: index missing, a node that is its own child.
 BAD_INDEXES_OF_12 = {
     "pivot-out-of-range": [
         ("inner", 999, 0.5, 1, 2),
@@ -66,4 +66,15 @@ BAD_INDEXES_OF_12 = {
         ("leaf", tuple(range(6))),
         ("leaf", tuple(range(6, 11))),
     ],
+    "self-cycle": [("inner", 0, 0.5, 0, 0)],
 }
+
+
+def chain_index_nodes(depth: int):
+    """A valid index over ``depth + 1`` distinct strings that is one chain
+    of ``depth`` inner nodes: node k has pivot k, radius 0, the leaf
+    ``(k,)`` inside and node k + 1 outside; the last leaf holds ``depth``."""
+    nodes = []
+    for k in range(depth):
+        nodes += [("inner", k, 0.0, 2 * k + 1, 2 * k + 2), ("leaf", (k,))]
+    return nodes + [("leaf", (depth,))]

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import BAD_INDEXES_OF_12, hvpt_bytes
+from helpers import BAD_INDEXES_OF_12, chain_index_nodes, hvpt_bytes
 
 PKG = [sys.executable, "-m", "harmdist"]
+DATA = Path(__file__).parent / "data"
 
 
 def run(*args, env_extra=None, raw_args=None):
@@ -169,10 +171,12 @@ def test_knn_k_beyond_corpus_lists_everything(corpus_file):
     assert dists == sorted(dists)
 
 
-def test_knn_with_and_without_index_agree(corpus_file):
-    indexed = run("knn", str(corpus_file), "apricots", "--k", "3", "--seed", "5")
-    linear = run("knn", str(corpus_file), "apricots", "--k", "3", "--no-index")
-    assert indexed.stdout == linear.stdout
+def test_knn_with_and_without_index_agree(corpus_file, tmp_path):
+    index = str(tmp_path / "corpus.hvpt")
+    query = ("knn", str(corpus_file), "apricots", "--k", "3")
+    indexed = run(*query, "--seed", "5", "--index", index)
+    linear = run(*query, "--no-index")
+    assert indexed.stdout == linear.stdout == run(*query).stdout
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):
@@ -201,6 +205,18 @@ def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
     assert r.returncode == 2
     assert r.stdout == b""
     assert b"Traceback" not in r.stderr
+
+
+def test_knn_index_of_a_5000_deep_chain(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(5001)))
+    index = tmp_path / "chain.hvpt"
+    index.write_bytes(hvpt_bytes(5001, chain_index_nodes(5000)))
+    indexed = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
+    linear = run("knn", str(corpus), "line3", "--k", "3", "--no-index")
+    assert indexed.returncode == 0
+    assert b"Traceback" not in indexed.stderr
+    assert indexed.stdout == linear.stdout != b""
 
 
 def test_knn_empty_corpus(tmp_path):
@@ -262,3 +278,36 @@ def test_check_infeasible_universe():
 def test_check_is_deterministic():
     args = ("check", "--random", "--samples", "150", "--seed", "77", "--maxlen", "20")
     assert run(*args).stdout == run(*args).stdout
+
+
+#: check commands whose stdout and exit code are pinned byte for byte;
+#: the expected stdout is ``data/check-<name>.out``
+PINNED_CHECKS = {
+    "exhaustive-rational-json": (
+        "check --exhaustive --rational --alphabet 2 --maxlen 5 --json", 0
+    ),
+    "random-float-json": (
+        "check --random --float --alphabet 2 --maxlen 64 --samples 300 --seed 3 --json",
+        0,
+    ),
+    "exhaustive-float": ("check --exhaustive --float --alphabet 3 --maxlen 3", 0),
+    "random-rational": (
+        "check --random --alphabet 8 --maxlen 16 --samples 200 --seed 5", 0
+    ),
+    "fixture-exhaustive": (
+        "check --fixture broken-lcs --exhaustive --alphabet 2 --maxlen 4", 3
+    ),
+    "fixture-random-float": (
+        "check --fixture broken-lcs --random --float --alphabet 3 --maxlen 12 "
+        "--samples 500 --seed 1",
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKS))
+def test_check_stdout_is_pinned(name):
+    command, code = PINNED_CHECKS[name]
+    r = run(*command.split())
+    assert r.returncode == code
+    assert r.stdout == (DATA / f"check-{name}.out").read_bytes()

@@ -4,7 +4,7 @@ import pytest
 
 from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
 from harmdist.vpindex import LEAF_SIZE, _Leaf
-from helpers import BAD_INDEXES_OF_12, hvpt_bytes, random_seq
+from helpers import BAD_INDEXES_OF_12, chain_index_nodes, hvpt_bytes, random_seq, seq
 
 TABLE = HarmonicTable(10_000)
 
@@ -212,3 +212,16 @@ def test_load_accepts_a_hand_made_partition(tmp_path):
     loaded = VpTree.load(path, corpus, table=TABLE)
     q = corpus[3]
     assert loaded.knn(q, 12) == linear_knn(corpus, q, 12)
+
+
+def test_a_5000_deep_chain_loads_queries_and_saves(tmp_path):
+    corpus = [seq(f"line{i}") for i in range(5001)]
+    path = tmp_path / "chain.hvpt"
+    path.write_bytes(hvpt_bytes(5001, chain_index_nodes(5000)))
+    loaded = VpTree.load(path, corpus, table=TABLE)
+    q = seq("line3")
+    assert loaded.knn(q, 3) == linear_knn(corpus, q, 3)
+    assert loaded.range_query(q, 0.4) == linear_range(corpus, q, 0.4)
+    again = tmp_path / "again.hvpt"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()

@@ -16,7 +16,6 @@ the same value whatever the table has materialized so far.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from array import array
 from fractions import Fraction
@@ -49,8 +48,6 @@ DEFAULT_CAPACITY = 1 << 20
 # stays within 1e-12 of 1/(N+1).
 MIN_CAPACITY = 64
 MAX_CAPACITY = 1 << 20
-
-_ENV_CAPACITY = "HARMDIST_TABLE_SIZE"
 
 
 class HarmonicTable:
@@ -127,18 +124,12 @@ class HarmonicTable:
         return f"HarmonicTable(max_index={self.max_index})"
 
 
-_default_table: HarmonicTable | None = None
+_DEFAULT_TABLE = HarmonicTable()  # materializes entries only when read
 
 
 def default_table() -> HarmonicTable:
-    """Lazily built process-wide table; HARMDIST_TABLE_SIZE overrides the
-    capacity (clamped to [MIN_CAPACITY, MAX_CAPACITY])."""
-    global _default_table
-    if _default_table is None:
-        raw = os.environ.get(_ENV_CAPACITY)
-        capacity = int(raw) if raw else DEFAULT_CAPACITY
-        _default_table = HarmonicTable(capacity)
-    return _default_table
+    """The process-wide table, of the default capacity."""
+    return _DEFAULT_TABLE
 
 
 def _tail(n: int) -> float:

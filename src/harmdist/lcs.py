@@ -5,7 +5,10 @@ bit-parallel engine is the production one, run by ``lcs_len`` for
 ``auto``; ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named
 oracles.  Only lengths are ever computed: every quantity the distance
 needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no traceback
-is kept and all engines run in O(min(|a|, |b|)) space.
+is kept.  Memory differs by engine: ``dp`` keeps two rows over the
+shorter input, the bit-parallel engine one match mask per distinct
+symbol of the shorter input, and Hunt-Szymanski occurrence lists over
+all of ``b`` plus at most min(|a|, |b|) tails.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely

@@ -10,18 +10,31 @@ linear scan returns.
 Trees are immutable after ``build`` and safe for concurrent queries;
 building is single-threaded and fully determined by (corpus order, seed).
 
-Optional on-disk format (little-endian): magic ``HVPT``, version u16,
-seed u64, corpus size u64, node count u64, then one record per node with
-explicit child offsets into the node array.
+Optional on-disk format, version 2 (little-endian): magic ``HVPT``,
+version u16, seed u64, the 32-byte ``corpus_fingerprint``, then the
+nodes in post-order (inside subtree, outside subtree, node).  A leaf is
+kind 0, count u32 and its corpus indices (u32 each); an inner node is
+kind 1, pivot u32 and radius f64, and its two children are the two
+subtrees just before it.  Without child links, a file can only describe
+trees: a node cannot be shared or be its own descendant.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:  # CPython's own SHA-256; hashlib loads OpenSSL, 3.6 MB more resident
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import IndexFormatError
 from .harmonic import HarmonicTable, default_table
@@ -32,7 +45,10 @@ LEAF_SIZE = 8
 PRUNE_MARGIN = 1e-9
 
 MAGIC = b"HVPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEADER = struct.Struct("<HQ32s")  # version, seed, corpus fingerprint
+_LEAF = struct.Struct("<BI")  # kind 0, count; then count u32 indices
+_INNER = struct.Struct("<BId")  # kind 1, pivot, radius
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,18 +68,36 @@ _Node = _Leaf | _Inner
 
 
 def _preorder(root: _Node):
-    """Every node below root, parents first, inside before outside."""
+    """Every node below root, parents first, outside before inside; read
+    backwards, this is the post-order of the file format."""
     stack = [root]
     while stack:
         node = stack.pop()
         yield node
         if isinstance(node, _Inner):
-            stack += (node.outside, node.inside)
+            stack += (node.inside, node.outside)
 
 
 def _leaf_indices(root: _Node) -> list[int]:
     leaves = (node for node in _preorder(root) if isinstance(node, _Leaf))
     return [i for leaf in leaves for i in leaf.indices]
+
+
+def corpus_fingerprint(corpus) -> bytes:
+    """SHA-256 over the lengths and symbol ids of the corpus strings, the
+    only inputs the tree's distances depend on.
+
+    The lengths come first, as little-endian u64; then each string's ids,
+    tagged ``B`` and one byte each when all are below 256, else tagged
+    ``Q`` and a little-endian u64 each.
+    """
+    h = sha256(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
+    for s in corpus:
+        try:  # a byte per id hashes eight times faster than a u64
+            h.update(b"B" + bytes(s.ids))
+        except ValueError:
+            h.update(b"Q" + struct.pack(f"<{len(s.ids)}Q", *s.ids))
+    return h.digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,43 +167,18 @@ class VpTree:
         root = split(list(range(len(corpus))))
         return cls(corpus, root, seed, table, engine)
 
-    def _cached_distance(self, q: SymbolSeq, cache: dict[int, float]):
-        corpus, table, engine = self.corpus, self.table, self.engine
-
-        def dist(i: int) -> float:
-            v = cache.get(i)
-            if v is None:
-                v = distance(q, corpus[i], table=table, engine=engine)
-                cache[i] = v
-            return v
-
-        return dist
-
     def range_query(self, q: SymbolSeq, r: float) -> set[int]:
         """Exactly the corpus indices within distance r of q."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        hits, _ = self._range(q, r)
-        return hits
-
-    def _range(self, q: SymbolSeq, r: float) -> tuple[set[int], int]:
-        cache: dict[int, float] = {}
-        dist = self._cached_distance(q, cache)
         hits: set[int] = set()
-        stack: list[_Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Leaf):
-                for i in node.indices:
-                    if dist(i) <= r:
-                        hits.add(i)
-                continue
-            dp = dist(node.pivot)
-            if dp - r <= node.radius + PRUNE_MARGIN:
-                stack.append(node.inside)
-            if dp + r >= node.radius - PRUNE_MARGIN:
-                stack.append(node.outside)
-        return hits, len(cache)
+
+        def offer(i: int, d: float) -> None:
+            if d <= r:
+                hits.add(i)
+
+        self._search(q, offer, lambda: r)
+        return hits
 
     def knn(self, q: SymbolSeq, k: int) -> list[tuple[int, float]]:
         """The k nearest corpus elements, ascending by (distance, index)."""
@@ -179,23 +188,38 @@ class VpTree:
         return best
 
     def _knn(self, q: SymbolSeq, k: int) -> tuple[list[tuple[int, float]], int]:
-        cache: dict[int, float] = {}
-        dist = self._cached_distance(q, cache)
         # max-heap over (distance, index) via negation; heap[0] is the
         # current worst of the k best
         heap: list[tuple[float, int]] = []
 
-        def offer(i: int) -> None:
-            di = dist(i)
+        def offer(i: int, d: float) -> None:
             if len(heap) < k:
-                heapq.heappush(heap, (-di, -i))
-            else:
-                worst_d, worst_i = -heap[0][0], -heap[0][1]
-                if (di, i) < (worst_d, worst_i):
-                    heapq.heapreplace(heap, (-di, -i))
+                heapq.heappush(heap, (-d, -i))
+            elif (d, i) < (-heap[0][0], -heap[0][1]):
+                heapq.heapreplace(heap, (-d, -i))
 
         def bound() -> float:
             return -heap[0][0] if len(heap) == k else float("inf")
+
+        evaluated = self._search(q, offer, bound)
+        out = sorted((-d, -i) for d, i in heap)
+        return [(i, d) for d, i in out], evaluated
+
+    def _search(self, q: SymbolSeq, offer, bound) -> int:
+        """Hand every leaf element i that may lie within ``bound()`` of q to
+        ``offer(i, d(q, i))``; return how many distances were evaluated.
+
+        Each distance is evaluated at most once per query, so a pivot that
+        also sits in a leaf below it costs one evaluation.
+        """
+        corpus, table, engine = self.corpus, self.table, self.engine
+        cache: dict[int, float] = {}
+
+        def dist(i: int) -> float:
+            v = cache.get(i)
+            if v is None:
+                v = cache[i] = distance(q, corpus[i], table=table, engine=engine)
+            return v
 
         # Entries are (node, parent's pivot distance, parent's radius,
         # whether node is the inside child); the prune bound is tested
@@ -215,15 +239,14 @@ class VpTree:
                     continue
             if isinstance(node, _Leaf):
                 for i in node.indices:
-                    offer(i)
+                    offer(i, dist(i))
                 continue
             dp = dist(node.pivot)
             inside = (node.inside, dp, node.radius, True)
             outside = (node.outside, dp, node.radius, False)
             # the side holding q is pushed last, so it is searched first
             stack += (outside, inside) if dp <= node.radius else (inside, outside)
-        out = sorted((-d, -i) for d, i in heap)
-        return [(i, d) for d, i in out], len(cache)
+        return len(cache)
 
     def stats(
         self,
@@ -238,10 +261,9 @@ class VpTree:
         counts = []
         for q in queries:
             if radius is not None:
-                _, evals = self._range(q, radius)
+                counts.append(self._search(q, lambda i, d: None, lambda: radius))
             else:
-                _, evals = self._knn(q, k)
-            counts.append(evals)
+                counts.append(self._knn(q, k)[1])
         return PruningStats(len(self.corpus), tuple(counts))
 
     def validate(self) -> None:
@@ -273,28 +295,15 @@ class VpTree:
     # serialization
 
     def save(self, path) -> None:
-        # pre-order numbering, so the root is record 0
-        nodes = list(_preorder(self.root))
-        position = {id(node): idx for idx, node in enumerate(nodes)}
-        chunks = [
-            MAGIC,
-            struct.pack(
-                "<HQQQ",
-                FORMAT_VERSION,
-                self.build_seed,
-                len(self.corpus),
-                len(nodes),
-            ),
-        ]
-        for node in nodes:
+        header = (FORMAT_VERSION, self.build_seed, corpus_fingerprint(self.corpus))
+        chunks = [MAGIC, _HEADER.pack(*header)]
+        for node in reversed(list(_preorder(self.root))):
             if isinstance(node, _Leaf):
-                chunks.append(struct.pack("<BI", 0, len(node.indices)))
-                chunks.append(struct.pack(f"<{len(node.indices)}I", *node.indices))
+                count = len(node.indices)
+                chunks.append(_LEAF.pack(0, count))
+                chunks.append(struct.pack(f"<{count}I", *node.indices))
             else:
-                inside, outside = position[id(node.inside)], position[id(node.outside)]
-                chunks.append(
-                    struct.pack("<BIdQQ", 1, node.pivot, node.radius, inside, outside)
-                )
+                chunks.append(_INNER.pack(1, node.pivot, node.radius))
         Path(path).write_bytes(b"".join(chunks))
 
     @classmethod
@@ -308,97 +317,71 @@ class VpTree:
     ) -> "VpTree":
         """Load a saved tree and bind it to the corpus it was built from.
 
-        Rejects wrong magic, unsupported versions, corpus size mismatches,
-        malformed node arrays, pivot or leaf indices outside the corpus,
-        and leaves that do not hold every corpus index exactly once.
+        One pass over the post-order records: a leaf is pushed on a stack,
+        and an inner node pops its outside and then its inside child and is
+        pushed in their place.  Rejects wrong magic, other format versions,
+        a fingerprint that does not match the corpus, truncated or unknown
+        records, an inner node without two children, pivots outside the
+        corpus, non-finite radii, anything but exactly one tree, and leaves
+        that do not hold every corpus index exactly once.
         """
         corpus = tuple(corpus)
         data = Path(path).read_bytes()
         if data[:4] != MAGIC:
             raise IndexFormatError("not a harmdist index file (bad magic)")
         try:
-            version, seed, corpus_size, node_count = struct.unpack_from(
-                "<HQQQ", data, 4
-            )
+            (version,) = struct.unpack_from("<H", data, 4)
+            if version != FORMAT_VERSION:
+                raise IndexFormatError(
+                    f"index format version {version} is not {FORMAT_VERSION}; "
+                    "delete the file so that it is rebuilt"
+                )
+            _, seed, fingerprint = _HEADER.unpack_from(data, 4)
         except struct.error as exc:
             raise IndexFormatError("truncated index header") from exc
-        if version != FORMAT_VERSION:
+        if fingerprint != corpus_fingerprint(corpus):
             raise IndexFormatError(
-                f"unsupported index version {version}; expected {FORMAT_VERSION}"
+                "index was built over a different corpus or tokenization; "
+                "delete the file so that it is rebuilt"
             )
-        if corpus_size != len(corpus):
-            raise IndexFormatError(
-                f"index was built over {corpus_size} strings, corpus has "
-                f"{len(corpus)}"
-            )
-        offset = 4 + struct.calcsize("<HQQQ")
-        records = []
+        n = len(corpus)
+        held = bytearray(n)
+        stack: list[_Node] = []
+        offset = 4 + _HEADER.size
         try:
-            for _ in range(node_count):
-                (kind,) = struct.unpack_from("<B", data, offset)
-                offset += 1
+            while offset < len(data):
+                kind = data[offset]
                 if kind == 0:
-                    (count,) = struct.unpack_from("<I", data, offset)
-                    offset += 4
+                    _, count = _LEAF.unpack_from(data, offset)
+                    offset += _LEAF.size
                     indices = struct.unpack_from(f"<{count}I", data, offset)
                     offset += 4 * count
-                    records.append(("leaf", indices))
+                    for i in indices:
+                        if i >= n:
+                            raise IndexFormatError(f"leaf index {i} outside the corpus")
+                        if held[i]:
+                            raise IndexFormatError(f"leaf index {i} repeats")
+                        held[i] = 1
+                    stack.append(_Leaf(indices))
                 elif kind == 1:
-                    pivot, radius, inside, outside = struct.unpack_from(
-                        "<IdQQ", data, offset
-                    )
-                    offset += struct.calcsize("<IdQQ")
-                    records.append(("inner", pivot, radius, inside, outside))
+                    _, pivot, radius = _INNER.unpack_from(data, offset)
+                    offset += _INNER.size
+                    if pivot >= n:
+                        raise IndexFormatError(f"pivot {pivot} outside the corpus")
+                    if not math.isfinite(radius):
+                        raise IndexFormatError(f"pivot {pivot} has radius {radius}")
+                    if len(stack) < 2:
+                        raise IndexFormatError(f"pivot {pivot} lacks a child")
+                    outside, inside = stack.pop(), stack.pop()
+                    stack.append(_Inner(pivot, radius, inside, outside))
                 else:
                     raise IndexFormatError(f"unknown node kind {kind}")
         except struct.error as exc:
-            raise IndexFormatError("truncated node array") from exc
-        if offset != len(data):
-            raise IndexFormatError("trailing bytes after node array")
-
-        # every corpus index must sit in exactly one leaf: a missing one
-        # would never be returned, a repeated one returned twice
-        held = bytearray(corpus_size)
-
-        def check_index(i: int, what: str) -> None:
-            if i >= corpus_size:
-                raise IndexFormatError(
-                    f"{what} index {i} outside a corpus of {corpus_size}"
-                )
-
-        if not records:
-            raise IndexFormatError("index contains no nodes")
-        # Depth-first from record 0, inside before outside.  An entry
-        # (idx, depth, None) asks to read record idx; (idx, depth, rec)
-        # comes back once both children are built and on ``built``.
-        built: list[_Node] = []
-        stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
-        while stack:
-            idx, depth, rec = stack.pop()
-            if rec is not None:
-                outside_node, inside_node = built.pop(), built.pop()
-                built.append(_Inner(rec[1], rec[2], inside_node, outside_node))
-                continue
-            if not 0 <= idx < len(records):
-                raise IndexFormatError(f"child offset {idx} out of range")
-            if depth > len(records):
-                raise IndexFormatError("node links form a cycle")
-            rec = records[idx]
-            if rec[0] == "leaf":
-                for i in rec[1]:
-                    check_index(i, "leaf")
-                    if held[i]:
-                        raise IndexFormatError(f"corpus index {i} repeats in the leaves")
-                    held[i] = 1
-                built.append(_Leaf(tuple(rec[1])))
-                continue
-            _, pivot, _, inside, outside = rec
-            check_index(pivot, "pivot")
-            stack.append((idx, depth, rec))
-            stack += ((outside, depth + 1, None), (inside, depth + 1, None))
-        (root,) = built
+            raise IndexFormatError("truncated node record") from exc
+        if len(stack) != 1:
+            raise IndexFormatError(f"index holds {len(stack)} trees, not one")
         if not all(held):
             raise IndexFormatError(f"corpus index {held.index(0)} is in no leaf")
         if table is None:
             table = default_table()
-        return cls(corpus, root, seed, table, engine)
+        return cls(corpus, stack[0], seed, table, engine)

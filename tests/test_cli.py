@@ -1,12 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import BAD_INDEXES_OF_12, chain_index_nodes, hvpt_bytes
+from helpers import (
+    BAD_INDEXES_OF_12,
+    V1_INDEX_OF_12,
+    chain_index_nodes,
+    hvpt_bytes,
+    interned,
+)
 
 PKG = [sys.executable, "-m", "harmdist"]
 DATA = Path(__file__).parent / "data"
@@ -88,10 +95,14 @@ def test_dist_engine_flag_is_respected():
         assert out(r) == run("dist", "ABCBDAB", "BDCABA").stdout.decode()
 
 
-def test_dist_table_size_env_var():
-    small = run("dist", "", "ab", env_extra={"HARMDIST_TABLE_SIZE": "64"})
-    assert small.returncode == 0
-    assert out(small) == "1.500000000000\n"
+def test_dist_ignores_table_size_env_var():
+    # the harmonic table's size is fixed; the variable that once set it
+    # is ignored
+    pair = ("dist", "", "a" * 5000)
+    garbage = run(*pair, env_extra={"HARMDIST_TABLE_SIZE": "abc"})
+    assert garbage.returncode == 0
+    assert garbage.stdout == run(*pair).stdout != b""
+    assert b"Traceback" not in garbage.stderr
 
 
 # -- matrix ----------------------------------------------------------------------
@@ -195,23 +206,60 @@ def test_knn_corrupt_index_file(corpus_file, tmp_path):
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
-def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
-    index = tmp_path / "bad.hvpt"
-    index.write_bytes(hvpt_bytes(12, BAD_INDEXES_OF_12[case]))
-    r = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
+def assert_rejected(r):
     assert r.returncode == 2
     assert r.stdout == b""
     assert b"Traceback" not in r.stderr
 
 
-def test_knn_index_of_a_5000_deep_chain(tmp_path):
+@pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
+def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
+    lines = [f"line{i}" for i in range(12)]
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text("".join(f"line{i}\n" for i in range(5001)))
+    corpus.write_text("".join(f"{line}\n" for line in lines))
+    index = tmp_path / "bad.hvpt"
+    index.write_bytes(hvpt_bytes(interned(lines), BAD_INDEXES_OF_12[case][0]))
+    assert_rejected(run("knn", str(corpus), "line3", "--k", "3", "--index", str(index)))
+
+
+def test_knn_rejects_a_version_1_index(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
+    index = tmp_path / "v1.hvpt"
+    index.write_bytes(V1_INDEX_OF_12)
+    r = run("knn", str(corpus), "line3", "--index", str(index))
+    assert_rejected(r)
+    assert b"delete the file" in r.stderr
+
+
+def test_knn_rejects_an_index_of_an_edited_corpus(tmp_path):
+    rng = random.Random(4)
+    lines = ["".join(rng.choices("acgt", k=rng.randint(4, 24))) for _ in range(200)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{line}\n" for line in lines))
+    index = str(tmp_path / "corpus.hvpt")
+    query = "acgtacgtacgtacgt"
+    assert run("knn", str(corpus), query, "--index", index).returncode == 0
+    lines[57] = query  # the line count stays
+    corpus.write_text("".join(f"{line}\n" for line in lines))
+    assert_rejected(run("knn", str(corpus), query, "--index", index))
+
+
+def test_knn_rejects_an_index_built_under_another_mode(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ab cd\ncd ab\nab ab ab\ncd\n")
+    index = str(tmp_path / "corpus.hvpt")
+    assert run("knn", str(corpus), "ab cd", "--index", index).returncode == 0
+    words = run("knn", str(corpus), "ab cd", "--mode", "words", "--index", index)
+    assert_rejected(words)
+
+
+def test_knn_index_of_a_5000_deep_chain(tmp_path):
+    lines = [f"line{i}" for i in range(5001)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{line}\n" for line in lines))
     index = tmp_path / "chain.hvpt"
-    index.write_bytes(hvpt_bytes(5001, chain_index_nodes(5000)))
+    index.write_bytes(hvpt_bytes(interned(lines), chain_index_nodes(5000)))
     indexed = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
     linear = run("knn", str(corpus), "line3", "--k", "3", "--no-index")
     assert indexed.returncode == 0

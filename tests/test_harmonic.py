@@ -20,7 +20,6 @@ from harmdist.harmonic import (
     MAX_CAPACITY,
     MIN_CAPACITY,
     STEP_BOUND,
-    default_table,
 )
 from helpers import rational_harmonic
 
@@ -171,13 +170,6 @@ def test_exact_is_in_lowest_terms():
 def test_exact_capacity_guard():
     with pytest.raises(CapacityError):
         harmonic_exact(EXACT_LIMIT + 1)
-
-
-def test_default_table_honours_env(monkeypatch):
-    monkeypatch.setattr(hmod, "_default_table", None)
-    monkeypatch.setenv("HARMDIST_TABLE_SIZE", "128")
-    assert default_table().max_index == 128
-    monkeypatch.setattr(hmod, "_default_table", None)
 
 
 # -- lazy growth -----------------------------------------------------------------

@@ -1,10 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
 from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
-from harmdist.vpindex import LEAF_SIZE, _Leaf
-from helpers import BAD_INDEXES_OF_12, chain_index_nodes, hvpt_bytes, random_seq, seq
+from harmdist.vpindex import LEAF_SIZE, _Leaf, corpus_fingerprint
+from helpers import (
+    BAD_INDEXES_OF_12,
+    V1_INDEX_OF_12,
+    chain_index_nodes,
+    hvpt_bytes,
+    random_seq,
+    seq,
+)
 
 TABLE = HarmonicTable(10_000)
 
@@ -150,6 +158,54 @@ def test_stats_requires_exactly_one_parameter(tree, corpus):
         tree.stats([corpus[0]], radius=0.1, k=2)
 
 
+def _near(rng, s, alphabet):
+    ids = list(s.ids)
+    for _ in range(2):
+        ids.insert(rng.randint(0, len(ids)), rng.randrange(alphabet))
+    return SymbolSeq(tuple(ids))
+
+
+#: Per corpus: distance evaluations per query of stats(radius=0.2),
+#: stats(radius=0.5), stats(k=1) and stats(k=10), then the SHA-256 of the
+#: range_query(q, 0.5) and knn(q, 10) results; recorded from the separate
+#: range and knn traversals that the shared one replaced.
+PINNED_SEARCHES = {
+    (4, 400, 48): (
+        (138, 45, 236, 207, 269, 227, 182, 220),
+        (343, 118, 349, 280, 285, 285, 274, 279),
+        (343, 45, 349, 79, 67, 60, 89, 142),
+        (377, 140, 361, 280, 285, 285, 285, 285),
+        "3d04727b6ff7b6bd2d8665e9c6f68c2a880737aa8ca16f47bddb79f463a70b53",
+    ),
+    (200, 150, 120): (
+        (66, 123, 71, 108, 76, 39, 39, 113),
+        (150, 150, 150, 108, 76, 75, 75, 141),
+        (150, 150, 150, 17, 26, 35, 30, 38),
+        (150, 150, 150, 150, 76, 150, 150, 150),
+        "48da4205a1dc2c28fbbf01329598a1e999a07489e0bc6f783d7c8c7f2b410768",
+    ),
+}
+
+
+@pytest.mark.parametrize("alphabet, n, max_length", sorted(PINNED_SEARCHES))
+def test_search_evaluates_and_returns_what_was_pinned(alphabet, n, max_length):
+    corpus = make_corpus(n, seed=11, alphabet=alphabet, max_length=max_length)
+    tree = VpTree.build(corpus, seed=3, table=TABLE)
+    rng = random.Random(13)
+    queries = [random_seq(rng, alphabet, max_length) for _ in range(3)]
+    queries += [_near(rng, corpus[rng.randrange(n)], alphabet) for _ in range(5)]
+    *evaluations, digest = PINNED_SEARCHES[alphabet, n, max_length]
+    assert [
+        tree.stats(queries, radius=0.2).evaluations,
+        tree.stats(queries, radius=0.5).evaluations,
+        tree.stats(queries, k=1).evaluations,
+        tree.stats(queries, k=10).evaluations,
+    ] == evaluations
+    ranges = [sorted(tree.range_query(q, 0.5)) for q in queries]
+    knns = [[(i, d.hex()) for i, d in tree.knn(q, 10)] for q in queries]
+    assert hashlib.sha256(repr((ranges, knns)).encode()).hexdigest() == digest
+
+
 # -- serialization --------------------------------------------------------------
 
 
@@ -188,6 +244,38 @@ def test_load_rejects_corpus_mismatch(tmp_path, corpus, tree):
         VpTree.load(path, corpus[:-1], table=TABLE)
 
 
+def test_load_rejects_an_edited_corpus_of_the_same_size(tmp_path, corpus, tree):
+    path = tmp_path / "tree.hvpt"
+    tree.save(path)
+    edited = list(corpus)
+    edited[42] = SymbolSeq(edited[42].ids + (0,))
+    with pytest.raises(IndexFormatError, match="different corpus"):
+        VpTree.load(path, edited, table=TABLE)
+
+
+def test_fingerprint_differs_when_a_length_or_an_id_does():
+    corpora = [
+        [(1, 2), (3,)],
+        [(1,), (2, 3)],
+        [(1, 2), (3, 0)],
+        [(1, 258), (3,)],
+        [(1, 2), (3 + 2**40,)],
+        [(1, 2)],
+        [],
+    ]
+    fingerprints = {
+        corpus_fingerprint([SymbolSeq(ids) for ids in corpus]) for corpus in corpora
+    }
+    assert len(fingerprints) == len(corpora)
+
+
+def test_load_rejects_a_version_1_file(tmp_path):
+    path = tmp_path / "v1.hvpt"
+    path.write_bytes(V1_INDEX_OF_12)
+    with pytest.raises(IndexFormatError, match="version 1 .*delete the file"):
+        VpTree.load(path, make_corpus(12), table=TABLE)
+
+
 def test_load_rejects_truncation(tmp_path, corpus, tree):
     path = tmp_path / "cut.hvpt"
     tree.save(path)
@@ -199,16 +287,18 @@ def test_load_rejects_truncation(tmp_path, corpus, tree):
 
 @pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
 def test_load_rejects_indices_that_do_not_partition_the_corpus(tmp_path, case):
+    nodes, defect = BAD_INDEXES_OF_12[case]
+    corpus = make_corpus(12)
     path = tmp_path / f"{case}.hvpt"
-    path.write_bytes(hvpt_bytes(12, BAD_INDEXES_OF_12[case]))
-    with pytest.raises(IndexFormatError):
-        VpTree.load(path, make_corpus(12), table=TABLE)
+    path.write_bytes(hvpt_bytes(corpus, nodes))
+    with pytest.raises(IndexFormatError, match=defect):
+        VpTree.load(path, corpus, table=TABLE)
 
 
 def test_load_accepts_a_hand_made_partition(tmp_path):
     path = tmp_path / "good.hvpt"
-    path.write_bytes(hvpt_bytes(12, [("leaf", tuple(range(11, -1, -1)))]))
     corpus = make_corpus(12)
+    path.write_bytes(hvpt_bytes(corpus, [("leaf", tuple(range(11, -1, -1)))]))
     loaded = VpTree.load(path, corpus, table=TABLE)
     q = corpus[3]
     assert loaded.knn(q, 12) == linear_knn(corpus, q, 12)
@@ -217,7 +307,7 @@ def test_load_accepts_a_hand_made_partition(tmp_path):
 def test_a_5000_deep_chain_loads_queries_and_saves(tmp_path):
     corpus = [seq(f"line{i}") for i in range(5001)]
     path = tmp_path / "chain.hvpt"
-    path.write_bytes(hvpt_bytes(5001, chain_index_nodes(5000)))
+    path.write_bytes(hvpt_bytes(corpus, chain_index_nodes(5000)))
     loaded = VpTree.load(path, corpus, table=TABLE)
     q = seq("line3")
     assert loaded.knn(q, 3) == linear_knn(corpus, q, 3)

@@ -216,44 +216,47 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument(
+    # dist, matrix and knn read strings and print distances
+    strings = _Parser(add_help=False)
+    strings.add_argument(
         "--mode",
         choices=("bytes", "codepoints", "words"),
         default="codepoints",
         help="tokenization mode (default: codepoints)",
     )
-    common.add_argument(
+    strings.add_argument(
         "--precision",
         type=int,
         default=12,
         metavar="N",
         help="decimal places in printed distances (1..17, default 12)",
     )
-    common.add_argument(
+    strings.add_argument(
         "--engine",
         choices=ENGINES,
         default="auto",
         help="LCS engine (default: auto)",
     )
-    common.add_argument("--seed", type=int, default=None, metavar="U64")
+    # knn and check draw seeded random numbers
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, metavar="U64")
 
     parser = _Parser(prog="harmdist", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="distance between two strings")
+    p = sub.add_parser("dist", parents=[strings], help="distance between two strings")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser(
-        "matrix", parents=[common], help="pairwise distance matrix of a line file"
+        "matrix", parents=[strings], help="pairwise distance matrix of a line file"
     )
     p.add_argument("input", help="newline-delimited corpus file")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser(
-        "knn", parents=[common], help="k nearest corpus lines to a query"
+        "knn", parents=[strings, seeded], help="k nearest corpus lines to a query"
     )
     p.add_argument("corpus", help="newline-delimited corpus file")
     p.add_argument("query")
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser(
-        "check", parents=[common], help="verify the metric axioms and lemmas"
+        "check", parents=[seeded], help="verify the metric axioms and lemmas"
     )
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--exhaustive", action="store_true")
@@ -292,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser: argparse.ArgumentParser) -> None:
-    if not 1 <= args.precision <= 17:
+    if not 1 <= getattr(args, "precision", 12) <= 17:
         parser.error("--precision must be between 1 and 17")
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2 ** 64:
         parser.error("--seed must fit in 64 unsigned bits")
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be positive")

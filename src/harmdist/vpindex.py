@@ -7,16 +7,21 @@ decisions carry a safety margin of PRUNE_MARGIN so float rounding can
 never cause a false prune; query results are therefore exactly what a
 linear scan returns.
 
+The tree is three flat arrays of n slots.  ``order`` lists the corpus
+indices leaf by leaf, so every node owns a range ``order[lo:hi]``.  A
+range of more than LEAF_SIZE elements is an inner node; it splits at
+``_split(lo, hi)``, which depends on the range's size alone, and slot
+``p = _split(lo, hi)`` of ``pivots`` and ``radii`` holds its pivot and
+radius.  The tree's shape therefore follows from n, and no node links
+are stored.
+
 Trees are immutable after ``build`` and safe for concurrent queries;
 building is single-threaded and fully determined by (corpus order, seed).
 
-Optional on-disk format, version 2 (little-endian): magic ``HVPT``,
-version u16, seed u64, the 32-byte ``corpus_fingerprint``, then the
-nodes in post-order (inside subtree, outside subtree, node).  A leaf is
-kind 0, count u32 and its corpus indices (u32 each); an inner node is
-kind 1, pivot u32 and radius f64, and its two children are the two
-subtrees just before it.  Without child links, a file can only describe
-trees: a node cannot be shared or be its own descendant.
+Optional on-disk format, version 3 (little-endian): magic ``HVPT``,
+version u16, seed u64, a SHA-256 over the seed, the corpus (as in
+``corpus_fingerprint``) and the body, then the body: ``order`` as u32,
+``pivots`` as u32 and ``radii`` as f64, n of each.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import heapq
 import math
 import random
 import struct
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,58 +51,42 @@ LEAF_SIZE = 8
 PRUNE_MARGIN = 1e-9
 
 MAGIC = b"HVPT"
-FORMAT_VERSION = 2
-_HEADER = struct.Struct("<HQ32s")  # version, seed, corpus fingerprint
-_LEAF = struct.Struct("<BI")  # kind 0, count; then count u32 indices
-_INNER = struct.Struct("<BId")  # kind 1, pivot, radius
+FORMAT_VERSION = 3
+_HEADER = struct.Struct("<HQ32s")  # version, seed, digest
 
 
-@dataclass(frozen=True, slots=True)
-class _Leaf:
-    indices: tuple[int, ...]
+def _split(lo: int, hi: int) -> int:
+    """Where the inner node over ``order[lo:hi]`` ends its inside child:
+    the pivot plus the lower half of the rest, median included."""
+    return lo + (hi - lo - 2) // 2 + 2
 
 
-@dataclass(frozen=True, slots=True)
-class _Inner:
-    pivot: int
-    radius: float
-    inside: "_Leaf | _Inner"
-    outside: "_Leaf | _Inner"
-
-
-_Node = _Leaf | _Inner
-
-
-def _preorder(root: _Node):
-    """Every node below root, parents first, outside before inside; read
-    backwards, this is the post-order of the file format."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, _Inner):
-            stack += (node.inside, node.outside)
-
-
-def _leaf_indices(root: _Node) -> list[int]:
-    leaves = (node for node in _preorder(root) if isinstance(node, _Leaf))
-    return [i for leaf in leaves for i in leaf.indices]
+def _hash_corpus(h, corpus):
+    h.update(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
+    for s in corpus:
+        try:  # a byte per id hashes eight times faster than a u64
+            h.update(b"B" + bytes(s.ids))
+        except ValueError:
+            tag = "H" if max(s.ids) < 65536 else "Q"
+            h.update(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
+    return h
 
 
 def corpus_fingerprint(corpus) -> bytes:
     """SHA-256 over the lengths and symbol ids of the corpus strings, the
     only inputs the tree's distances depend on.
 
-    The lengths come first, as little-endian u64; then each string's ids,
-    tagged ``B`` and one byte each when all are below 256, else tagged
+    The lengths come first, as little-endian u64; then each string's ids
+    at the narrowest width that holds them all: tagged ``B`` and one byte
+    each below 256, ``H`` and a little-endian u16 each below 65,536, else
     ``Q`` and a little-endian u64 each.
     """
-    h = sha256(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
-    for s in corpus:
-        try:  # a byte per id hashes eight times faster than a u64
-            h.update(b"B" + bytes(s.ids))
-        except ValueError:
-            h.update(b"Q" + struct.pack(f"<{len(s.ids)}Q", *s.ids))
+    return _hash_corpus(sha256(), corpus).digest()
+
+
+def _digest(seed: int, corpus, body: bytes) -> bytes:
+    h = _hash_corpus(sha256(struct.pack("<Q", seed)), corpus)
+    h.update(body)
     return h.digest()
 
 
@@ -118,7 +108,9 @@ class PruningStats:
 @dataclass
 class VpTree:
     corpus: tuple[SymbolSeq, ...]
-    root: _Node
+    order: array  # 'I': corpus indices, leaf by leaf
+    pivots: array  # 'I': slot _split(lo, hi) holds that node's pivot
+    radii: array  # 'd': slot _split(lo, hi) holds that node's radius
     build_seed: int
     table: HarmonicTable = field(compare=False, repr=False)
     engine: Engine = field(default="auto", compare=False)
@@ -137,8 +129,9 @@ class VpTree:
         Pivots are seeded pseudo-random draws; the radius is the lower
         median of the distances from the pivot to the node's remaining
         elements, which follow the pivot inside when at or under the
-        radius (ties resolved by corpus index).  Recursion stops at
-        LEAF_SIZE elements.
+        radius (ties resolved by corpus index).  Splitting stops at
+        LEAF_SIZE elements.  Inside children are split before outside
+        ones, which fixes the order of the seeded draws.
         """
         corpus = tuple(corpus)
         if not corpus:
@@ -148,24 +141,28 @@ class VpTree:
         if table is None:
             table = default_table()
         rng = random.Random(seed)
-
-        def split(indices: list[int]) -> _Node:
-            if len(indices) <= LEAF_SIZE:
-                return _Leaf(tuple(indices))
-            pivot = indices[rng.randrange(len(indices))]
+        n = len(corpus)
+        order = array("I", range(n))
+        pivots = array("I", bytes(4 * n))
+        radii = array("d", bytes(8 * n))
+        stack = [(0, n)]
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo <= LEAF_SIZE:
+                continue
+            members = order[lo:hi]
+            pivot = members[rng.randrange(hi - lo)]
             ranked = sorted(
                 (distance(corpus[pivot], corpus[i], table=table, engine=engine), i)
-                for i in indices
+                for i in members
                 if i != pivot
             )
-            mid = (len(ranked) - 1) // 2
-            radius = ranked[mid][0]
-            inside = [pivot] + [i for _, i in ranked[: mid + 1]]
-            outside = [i for _, i in ranked[mid + 1 :]]
-            return _Inner(pivot, radius, split(inside), split(outside))
-
-        root = split(list(range(len(corpus))))
-        return cls(corpus, root, seed, table, engine)
+            p = _split(lo, hi)
+            pivots[p] = pivot
+            radii[p] = ranked[p - lo - 2][0]
+            order[lo:hi] = array("I", [pivot] + [i for _, i in ranked])
+            stack += ((p, hi), (lo, p))
+        return cls(corpus, order, pivots, radii, seed, table, engine)
 
     def range_query(self, q: SymbolSeq, r: float) -> set[int]:
         """Exactly the corpus indices within distance r of q."""
@@ -213,6 +210,7 @@ class VpTree:
         also sits in a leaf below it costs one evaluation.
         """
         corpus, table, engine = self.corpus, self.table, self.engine
+        order, pivots, radii = self.order, self.pivots, self.radii
         cache: dict[int, float] = {}
 
         def dist(i: int) -> float:
@@ -221,15 +219,15 @@ class VpTree:
                 v = cache[i] = distance(q, corpus[i], table=table, engine=engine)
             return v
 
-        # Entries are (node, parent's pivot distance, parent's radius,
-        # whether node is the inside child); the prune bound is tested
-        # when an entry is popped, so it reflects every subtree searched
-        # before it.  The root has no parent and is never pruned.
-        stack: list[tuple[_Node, float, float, bool | None]] = [
-            (self.root, 0.0, 0.0, None)
+        # Entries are (lo, hi, parent's pivot distance, parent's radius,
+        # whether the range is the inside child); the prune bound is
+        # tested when an entry is popped, so it reflects every subtree
+        # searched before it.  The root has no parent and is never pruned.
+        stack: list[tuple[int, int, float, float, bool | None]] = [
+            (0, len(order), 0.0, 0.0, None)
         ]
         while stack:
-            node, dp, radius, is_inside = stack.pop()
+            lo, hi, dp, radius, is_inside = stack.pop()
             if is_inside is not None:
                 r = bound()
                 if is_inside:
@@ -237,15 +235,16 @@ class VpTree:
                         continue
                 elif not dp + r >= radius - PRUNE_MARGIN:
                     continue
-            if isinstance(node, _Leaf):
-                for i in node.indices:
+            if hi - lo <= LEAF_SIZE:
+                for i in order[lo:hi]:
                     offer(i, dist(i))
                 continue
-            dp = dist(node.pivot)
-            inside = (node.inside, dp, node.radius, True)
-            outside = (node.outside, dp, node.radius, False)
+            p = _split(lo, hi)
+            dp, radius = dist(pivots[p]), radii[p]
+            inside = (lo, p, dp, radius, True)
+            outside = (p, hi, dp, radius, False)
             # the side holding q is pushed last, so it is searched first
-            stack += (outside, inside) if dp <= node.radius else (inside, outside)
+            stack += (outside, inside) if dp <= radius else (inside, outside)
         return len(cache)
 
     def stats(
@@ -268,43 +267,39 @@ class VpTree:
 
     def validate(self) -> None:
         """Sweep every node and fail loudly on any structural breach."""
-        seen: list[int] = []
-        for node in _preorder(self.root):
-            if isinstance(node, _Leaf):
-                seen.extend(node.indices)
+        n = len(self.corpus)
+        if sorted(self.order) != list(range(n)):
+            raise ValueError("corpus elements are not partitioned across leaves")
+        stack = [(0, n)]
+        while stack:
+            lo, hi = stack.pop()
+            if hi - lo <= LEAF_SIZE:
                 continue
-            pivot = self.corpus[node.pivot]
-            for i in _leaf_indices(node.inside):
+            p = _split(lo, hi)
+            pivot, radius = self.corpus[self.pivots[p]], self.radii[p]
+            for j in range(lo, hi):
+                i = self.order[j]
                 d = distance(pivot, self.corpus[i], table=self.table, engine=self.engine)
-                if d > node.radius:
+                if j < p and d > radius:
                     raise ValueError(
-                        f"inside element {i} at distance {d} exceeds radius "
-                        f"{node.radius}"
+                        f"inside element {i} at distance {d} exceeds radius {radius}"
                     )
-            for i in _leaf_indices(node.outside):
-                d = distance(pivot, self.corpus[i], table=self.table, engine=self.engine)
-                if d < node.radius:
+                if j >= p and d < radius:
                     raise ValueError(
                         f"outside element {i} at distance {d} undercuts radius "
-                        f"{node.radius}"
+                        f"{radius}"
                     )
-        if sorted(seen) != list(range(len(self.corpus))):
-            raise ValueError("corpus elements are not partitioned across leaves")
+            stack += ((p, hi), (lo, p))
 
     # ------------------------------------------------------------------
     # serialization
 
     def save(self, path) -> None:
-        header = (FORMAT_VERSION, self.build_seed, corpus_fingerprint(self.corpus))
-        chunks = [MAGIC, _HEADER.pack(*header)]
-        for node in reversed(list(_preorder(self.root))):
-            if isinstance(node, _Leaf):
-                count = len(node.indices)
-                chunks.append(_LEAF.pack(0, count))
-                chunks.append(struct.pack(f"<{count}I", *node.indices))
-            else:
-                chunks.append(_INNER.pack(1, node.pivot, node.radius))
-        Path(path).write_bytes(b"".join(chunks))
+        n = len(self.order)
+        body = struct.pack(f"<{n}I{n}I{n}d", *self.order, *self.pivots, *self.radii)
+        digest = _digest(self.build_seed, self.corpus, body)
+        header = _HEADER.pack(FORMAT_VERSION, self.build_seed, digest)
+        Path(path).write_bytes(MAGIC + header + body)
 
     @classmethod
     def load(
@@ -317,13 +312,11 @@ class VpTree:
     ) -> "VpTree":
         """Load a saved tree and bind it to the corpus it was built from.
 
-        One pass over the post-order records: a leaf is pushed on a stack,
-        and an inner node pops its outside and then its inside child and is
-        pushed in their place.  Rejects wrong magic, other format versions,
-        a fingerprint that does not match the corpus, truncated or unknown
-        records, an inner node without two children, pivots outside the
-        corpus, non-finite radii, anything but exactly one tree, and leaves
-        that do not hold every corpus index exactly once.
+        Rejects wrong magic, other format versions, a truncated header, a
+        body that is not 16 bytes per corpus string, a digest that does
+        not match the seed, corpus and body, and, in a file whose digest
+        matches, an ``order`` that is not a permutation of the corpus
+        indices, pivots outside the corpus and non-finite radii.
         """
         corpus = tuple(corpus)
         data = Path(path).read_bytes()
@@ -336,52 +329,39 @@ class VpTree:
                     f"index format version {version} is not {FORMAT_VERSION}; "
                     "delete the file so that it is rebuilt"
                 )
-            _, seed, fingerprint = _HEADER.unpack_from(data, 4)
+            _, seed, digest = _HEADER.unpack_from(data, 4)
         except struct.error as exc:
             raise IndexFormatError("truncated index header") from exc
-        if fingerprint != corpus_fingerprint(corpus):
-            raise IndexFormatError(
-                "index was built over a different corpus or tokenization; "
-                "delete the file so that it is rebuilt"
-            )
         n = len(corpus)
-        held = bytearray(n)
-        stack: list[_Node] = []
-        offset = 4 + _HEADER.size
-        try:
-            while offset < len(data):
-                kind = data[offset]
-                if kind == 0:
-                    _, count = _LEAF.unpack_from(data, offset)
-                    offset += _LEAF.size
-                    indices = struct.unpack_from(f"<{count}I", data, offset)
-                    offset += 4 * count
-                    for i in indices:
-                        if i >= n:
-                            raise IndexFormatError(f"leaf index {i} outside the corpus")
-                        if held[i]:
-                            raise IndexFormatError(f"leaf index {i} repeats")
-                        held[i] = 1
-                    stack.append(_Leaf(indices))
-                elif kind == 1:
-                    _, pivot, radius = _INNER.unpack_from(data, offset)
-                    offset += _INNER.size
-                    if pivot >= n:
-                        raise IndexFormatError(f"pivot {pivot} outside the corpus")
-                    if not math.isfinite(radius):
-                        raise IndexFormatError(f"pivot {pivot} has radius {radius}")
-                    if len(stack) < 2:
-                        raise IndexFormatError(f"pivot {pivot} lacks a child")
-                    outside, inside = stack.pop(), stack.pop()
-                    stack.append(_Inner(pivot, radius, inside, outside))
-                else:
-                    raise IndexFormatError(f"unknown node kind {kind}")
-        except struct.error as exc:
-            raise IndexFormatError("truncated node record") from exc
-        if len(stack) != 1:
-            raise IndexFormatError(f"index holds {len(stack)} trees, not one")
-        if not all(held):
-            raise IndexFormatError(f"corpus index {held.index(0)} is in no leaf")
+        body = data[4 + _HEADER.size :]
+        if len(body) != 16 * n:
+            raise IndexFormatError(
+                f"index body holds {len(body)} bytes, not the {16 * n} of a "
+                f"corpus of {n} strings; delete the file so that it is rebuilt"
+            )
+        if digest != _digest(seed, corpus, body):
+            raise IndexFormatError(
+                "index was built over a different corpus or tokenization, or "
+                "is damaged; delete the file so that it is rebuilt"
+            )
+        order = array("I", struct.unpack_from(f"<{n}I", body))
+        pivots = array("I", struct.unpack_from(f"<{n}I", body, 4 * n))
+        radii = array("d", struct.unpack_from(f"<{n}d", body, 8 * n))
+        ranks = sorted(order)
+        if ranks != list(range(n)):
+            if ranks[-1] >= n:
+                raise IndexFormatError(f"order index {ranks[-1]} outside the corpus")
+            missing = min(set(range(n)).difference(ranks))
+            repeated = next(a for a, b in zip(ranks, ranks[1:]) if a == b)
+            raise IndexFormatError(
+                f"order index {repeated} repeats and corpus index {missing} "
+                "is in no leaf"
+            )
+        if max(pivots, default=0) >= n:
+            raise IndexFormatError(f"pivot {max(pivots)} outside the corpus")
+        if not all(map(math.isfinite, radii)):
+            bad = next(r for r in radii if not math.isfinite(r))
+            raise IndexFormatError(f"index holds radius {bad}")
         if table is None:
             table = default_table()
-        return cls(corpus, stack[0], seed, table, engine)
+        return cls(corpus, order, pivots, radii, seed, table, engine)

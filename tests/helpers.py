@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from fractions import Fraction
+from hashlib import sha256
 
 from hypothesis import strategies as st
 
 from harmdist import Interner, SymbolSeq
-from harmdist.vpindex import FORMAT_VERSION, MAGIC, corpus_fingerprint
+from harmdist.vpindex import FORMAT_VERSION, MAGIC
 
 
 def seq(text: str) -> SymbolSeq:
@@ -43,18 +45,28 @@ def interned(lines) -> list[SymbolSeq]:
     return [interner.seq(line) for line in lines]
 
 
-def hvpt_bytes(corpus, nodes) -> bytes:
-    """A hand-made index file over the corpus: nodes are ``("leaf",
-    indices)`` or ``("inner", pivot, radius)``, in post-order."""
-    header = struct.pack("<HQ32s", FORMAT_VERSION, 0, corpus_fingerprint(corpus))
-    chunks = [MAGIC, header]
-    for node in nodes:
-        if node[0] == "leaf":
-            indices = node[1]
-            chunks.append(struct.pack(f"<BI{len(indices)}I", 0, len(indices), *indices))
-        else:
-            chunks.append(struct.pack("<BId", 1, *node[1:]))
+def corpus_bytes(corpus) -> bytes:
+    """What an index digest hashes of the corpus: the lengths as u64, then
+    each string's ids tagged ``B``, ``H`` or ``Q`` by the narrowest
+    little-endian width that holds them."""
+    chunks = [struct.pack(f"<{len(corpus)}Q", *(len(s.ids) for s in corpus))]
+    for s in corpus:
+        top = max(s.ids, default=0)
+        tag = "B" if top < 2**8 else "H" if top < 2**16 else "Q"
+        chunks.append(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
     return b"".join(chunks)
+
+
+def hvpt_bytes(corpus, order, pivots, radii, seed=0) -> bytes:
+    """A hand-made index file over the corpus, with a valid digest."""
+    body = (
+        struct.pack(f"<{len(order)}I", *order)
+        + struct.pack(f"<{len(pivots)}I", *pivots)
+        + struct.pack(f"<{len(radii)}d", *radii)
+    )
+    seeded = struct.pack("<Q", seed) + corpus_bytes(corpus) + body
+    header = struct.pack("<HQ32s", FORMAT_VERSION, seed, sha256(seeded).digest())
+    return MAGIC + header + body
 
 
 #: A format-1 index file (child offsets, bound to a corpus of 12 by size
@@ -63,34 +75,40 @@ V1_INDEX_OF_12 = (
     MAGIC + struct.pack("<HQQQ", 1, 0, 12, 1) + struct.pack("<BI12I", 0, 12, *range(12))
 )
 
-_HALVES = [("leaf", tuple(range(6))), ("leaf", tuple(range(6, 12)))]
+#: A format-2 index file (post-order node records after a corpus
+#: fingerprint) holding one leaf with the whole corpus.
+V2_INDEX_OF_12 = (
+    MAGIC
+    + struct.pack("<HQ32s", 2, 0, bytes(32))
+    + struct.pack("<BI12I", 0, 12, *range(12))
+)
 
-#: Index files over a 12-string corpus that must be rejected, each as
-#: (post-order nodes, a pattern of the error naming its own defect): a
-#: pivot or a leaf index outside the corpus, one index listed twelve
-#: times, one index missing, a NaN radius, an inner node with one child,
-#: two roots.
+#: The arrays of an index over 12 strings: the root splits at slot 7.
+_ORDER, _PIVOTS, _RADII = tuple(range(12)), (0,) * 12, (0.0,) * 12
+
+#: Index files over a 12-string corpus that must be rejected although
+#: their digests match, each as (order, pivots, radii) and a pattern of
+#: the error naming its own defect: an index outside the corpus in
+#: ``order``, index 0 listed twelve times, index 11 missing, a pivot
+#: outside the corpus, a NaN radius, a body short or long by one slot.
 BAD_INDEXES_OF_12 = {
-    "pivot-out-of-range": (_HALVES + [("inner", 999, 0.5)], "pivot 999 outside"),
     "leaf-out-of-range": (
-        [("leaf", tuple(range(11)) + (12,))], "leaf index 12 outside"
+        (tuple(range(11)) + (12,), _PIVOTS, _RADII), "order index 12 outside"
     ),
-    "repeated-index": ([("leaf", (0,) * 12)], "leaf index 0 repeats"),
+    "repeated-index": (((0,) * 12, _PIVOTS, _RADII), "order index 0 repeats"),
     "missing-index": (
-        [("leaf", tuple(range(6))), ("leaf", tuple(range(6, 11))), ("inner", 0, 0.5)],
-        "corpus index 11 is in no leaf",
+        (tuple(range(11)) + (10,), _PIVOTS, _RADII), "corpus index 11 is in no leaf"
     ),
-    "nan-radius": (_HALVES + [("inner", 0, float("nan"))], "radius nan"),
-    "missing-child": ([("leaf", tuple(range(12))), ("inner", 0, 0.5)], "lacks a child"),
-    "two-trees": (_HALVES, "2 trees"),
+    "pivot-out-of-range": (
+        (_ORDER, _PIVOTS[:7] + (999,) + _PIVOTS[8:], _RADII), "pivot 999 outside"
+    ),
+    "nan-radius": (
+        (_ORDER, _PIVOTS, _RADII[:7] + (math.nan,) + _RADII[8:]), "radius nan"
+    ),
+    "short-body": (
+        (_ORDER[:11], _PIVOTS[:11], _RADII[:11]), "holds 176 bytes, not the 192"
+    ),
+    "long-body": (
+        (_ORDER + (0,), _PIVOTS + (0,), _RADII + (0.0,)), "holds 208 bytes, not the 192"
+    ),
 }
-
-
-def chain_index_nodes(depth: int):
-    """A valid index over ``depth + 1`` distinct strings that is one chain
-    of ``depth`` inner nodes: node k has pivot k, radius 0, the leaf
-    ``(k,)`` inside and node k + 1 outside; the last leaf holds ``depth``.
-    In post-order that is every leaf, then the inner nodes from the
-    deepest up."""
-    leaves = [("leaf", (k,)) for k in range(depth + 1)]
-    return leaves + [("inner", k, 0.0) for k in reversed(range(depth))]

@@ -10,7 +10,7 @@ import pytest
 from helpers import (
     BAD_INDEXES_OF_12,
     V1_INDEX_OF_12,
-    chain_index_nodes,
+    V2_INDEX_OF_12,
     hvpt_bytes,
     interned,
 )
@@ -218,7 +218,7 @@ def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("".join(f"{line}\n" for line in lines))
     index = tmp_path / "bad.hvpt"
-    index.write_bytes(hvpt_bytes(interned(lines), BAD_INDEXES_OF_12[case][0]))
+    index.write_bytes(hvpt_bytes(interned(lines), *BAD_INDEXES_OF_12[case][0]))
     assert_rejected(run("knn", str(corpus), "line3", "--k", "3", "--index", str(index)))
 
 
@@ -230,6 +230,30 @@ def test_knn_rejects_a_version_1_index(tmp_path):
     r = run("knn", str(corpus), "line3", "--index", str(index))
     assert_rejected(r)
     assert b"delete the file" in r.stderr
+
+
+def test_knn_rejects_a_version_2_index(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
+    index = tmp_path / "v2.hvpt"
+    index.write_bytes(V2_INDEX_OF_12)
+    r = run("knn", str(corpus), "line3", "--index", str(index))
+    assert_rejected(r)
+    assert b"version 2" in r.stderr
+
+
+def test_knn_rejects_an_index_whose_radii_are_zeroed(tmp_path):
+    # a finite but wrong radius would prune the query's own line away
+    rng = random.Random(4)
+    lines = ["".join(rng.choices("acgt", k=rng.randint(4, 24))) for _ in range(200)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{line}\n" for line in lines))
+    index = tmp_path / "corpus.hvpt"
+    query = ("knn", str(corpus), lines[17], "--k", "3", "--index", str(index))
+    assert run(*query).returncode == 0
+    data = index.read_bytes()
+    index.write_bytes(data[: -8 * len(lines)] + bytes(8 * len(lines)))
+    assert_rejected(run(*query))
 
 
 def test_knn_rejects_an_index_of_an_edited_corpus(tmp_path):
@@ -254,24 +278,29 @@ def test_knn_rejects_an_index_built_under_another_mode(tmp_path):
     assert_rejected(words)
 
 
-def test_knn_index_of_a_5000_deep_chain(tmp_path):
-    lines = [f"line{i}" for i in range(5001)]
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("".join(f"{line}\n" for line in lines))
-    index = tmp_path / "chain.hvpt"
-    index.write_bytes(hvpt_bytes(interned(lines), chain_index_nodes(5000)))
-    indexed = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
-    linear = run("knn", str(corpus), "line3", "--k", "3", "--no-index")
-    assert indexed.returncode == 0
-    assert b"Traceback" not in indexed.stderr
-    assert indexed.stdout == linear.stdout != b""
-
-
 def test_knn_empty_corpus(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
     r = run("knn", str(path), "query")
     assert r.returncode == 1
+
+
+#: flags that a subcommand does not read, and so does not accept
+UNREAD_FLAGS = {
+    "check-mode": ("check", "--mode", "bytes"),
+    "check-precision": ("check", "--precision", "3"),
+    "check-engine": ("check", "--engine", "dp"),
+    "dist-seed": ("dist", "a", "b", "--seed", "1"),
+    "matrix-seed": ("matrix", "corpus.txt", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FLAGS))
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(case):
+    r = run(*UNREAD_FLAGS[case])
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert b"unrecognized arguments" in r.stderr
 
 
 # -- check -----------------------------------------------------------------------

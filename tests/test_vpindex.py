@@ -1,17 +1,18 @@
 import hashlib
 import random
+from array import array
 
 import pytest
 
 from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
-from harmdist.vpindex import LEAF_SIZE, _Leaf, corpus_fingerprint
+from harmdist.vpindex import LEAF_SIZE, corpus_fingerprint
 from helpers import (
     BAD_INDEXES_OF_12,
     V1_INDEX_OF_12,
-    chain_index_nodes,
+    V2_INDEX_OF_12,
+    corpus_bytes,
     hvpt_bytes,
     random_seq,
-    seq,
 )
 
 TABLE = HarmonicTable(10_000)
@@ -52,8 +53,8 @@ def test_empty_corpus_rejected():
 
 def test_single_string_is_one_leaf():
     t = VpTree.build([SymbolSeq((1, 2))], seed=0, table=TABLE)
-    assert isinstance(t.root, _Leaf)
-    assert t.root.indices == (0,)
+    assert t.order == t.pivots == array("I", [0])
+    assert t.radii == array("d", [0.0])
 
 
 def test_duplicate_corpus_queries_return_everything():
@@ -71,7 +72,9 @@ def test_node_invariants_hold(tree):
 
 def test_build_is_deterministic(corpus, tree):
     again = VpTree.build(corpus, seed=7, table=TABLE)
-    assert again.root == tree.root
+    assert again.order == tree.order
+    assert again.pivots == tree.pivots
+    assert again.radii == tree.radii
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):
@@ -213,7 +216,9 @@ def test_save_load_roundtrip(tmp_path, corpus, tree):
     path = tmp_path / "corpus.hvpt"
     tree.save(path)
     loaded = VpTree.load(path, corpus, table=TABLE)
-    assert loaded.root == tree.root
+    assert loaded.order == tree.order
+    assert loaded.pivots == tree.pivots
+    assert loaded.radii == tree.radii
     assert loaded.build_seed == tree.build_seed
     rng = random.Random(4)
     q = random_seq(rng, 4, 48)
@@ -259,6 +264,10 @@ def test_fingerprint_differs_when_a_length_or_an_id_does():
         [(1,), (2, 3)],
         [(1, 2), (3, 0)],
         [(1, 258), (3,)],
+        [(1, 255), (3,)],
+        [(1, 256), (3,)],
+        [(1, 65_535), (3,)],
+        [(1, 65_536), (3,)],
         [(1, 2), (3 + 2**40,)],
         [(1, 2)],
         [],
@@ -269,10 +278,23 @@ def test_fingerprint_differs_when_a_length_or_an_id_does():
     assert len(fingerprints) == len(corpora)
 
 
+def test_fingerprint_hashes_ids_at_the_narrowest_width():
+    for ids in [(0, 255), (0, 256), (65_535,), (65_536, 1), (2**64 - 1,), ()]:
+        corpus = [SymbolSeq((1, 2)), SymbolSeq(ids)]
+        assert corpus_fingerprint(corpus) == hashlib.sha256(corpus_bytes(corpus)).digest()
+
+
 def test_load_rejects_a_version_1_file(tmp_path):
     path = tmp_path / "v1.hvpt"
     path.write_bytes(V1_INDEX_OF_12)
     with pytest.raises(IndexFormatError, match="version 1 .*delete the file"):
+        VpTree.load(path, make_corpus(12), table=TABLE)
+
+
+def test_load_rejects_a_version_2_file(tmp_path):
+    path = tmp_path / "v2.hvpt"
+    path.write_bytes(V2_INDEX_OF_12)
+    with pytest.raises(IndexFormatError, match="version 2 .*delete the file"):
         VpTree.load(path, make_corpus(12), table=TABLE)
 
 
@@ -285,33 +307,47 @@ def test_load_rejects_truncation(tmp_path, corpus, tree):
         VpTree.load(path, corpus, table=TABLE)
 
 
+def test_load_rejects_any_flipped_byte(tmp_path):
+    corpus = make_corpus(12)
+    path = tmp_path / "tree.hvpt"
+    VpTree.build(corpus, seed=5, table=TABLE).save(path)
+    data = path.read_bytes()
+    for offset in range(4, len(data)):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0xFF
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(IndexFormatError):
+            VpTree.load(path, corpus, table=TABLE)
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
 def test_load_rejects_indices_that_do_not_partition_the_corpus(tmp_path, case):
-    nodes, defect = BAD_INDEXES_OF_12[case]
+    arrays, defect = BAD_INDEXES_OF_12[case]
     corpus = make_corpus(12)
     path = tmp_path / f"{case}.hvpt"
-    path.write_bytes(hvpt_bytes(corpus, nodes))
+    path.write_bytes(hvpt_bytes(corpus, *arrays))
     with pytest.raises(IndexFormatError, match=defect):
         VpTree.load(path, corpus, table=TABLE)
 
 
 def test_load_accepts_a_hand_made_partition(tmp_path):
-    path = tmp_path / "good.hvpt"
+    # 12 strings: the root splits at slot 7 into leaves order[:7] and
+    # order[7:]; a leaf may list its elements in any order
     corpus = make_corpus(12)
-    path.write_bytes(hvpt_bytes(corpus, [("leaf", tuple(range(11, -1, -1)))]))
+    ranked = sorted(
+        (distance(corpus[11], s, table=TABLE), i) for i, s in enumerate(corpus[:11])
+    )
+    order = [11] + [i for _, i in reversed(ranked[:6])] + [i for _, i in ranked[6:]]
+    pivots = [0] * 7 + [11] + [0] * 4
+    radii = [0.0] * 7 + [ranked[5][0]] + [0.0] * 4
+    path = tmp_path / "good.hvpt"
+    path.write_bytes(hvpt_bytes(corpus, order, pivots, radii, seed=9))
     loaded = VpTree.load(path, corpus, table=TABLE)
-    q = corpus[3]
-    assert loaded.knn(q, 12) == linear_knn(corpus, q, 12)
-
-
-def test_a_5000_deep_chain_loads_queries_and_saves(tmp_path):
-    corpus = [seq(f"line{i}") for i in range(5001)]
-    path = tmp_path / "chain.hvpt"
-    path.write_bytes(hvpt_bytes(corpus, chain_index_nodes(5000)))
-    loaded = VpTree.load(path, corpus, table=TABLE)
-    q = seq("line3")
-    assert loaded.knn(q, 3) == linear_knn(corpus, q, 3)
-    assert loaded.range_query(q, 0.4) == linear_range(corpus, q, 0.4)
+    loaded.validate()
+    assert loaded.build_seed == 9
+    for q in corpus[:4]:
+        for k in (1, 3, 12):
+            assert loaded.knn(q, k) == linear_knn(corpus, q, k)
     again = tmp_path / "again.hvpt"
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()

@@ -2,15 +2,20 @@
 
 Three tiers serve the rest of the library:
 
-* ``HarmonicTable`` holds double-precision prefix values H_0..H_N.
+* ``HarmonicTable`` holds double-precision prefix values H_0..H_N, and
+  next to them an exact fixed-point prefix of the rounded terms, from
+  which short spans H_hi - H_lo are read off correctly rounded.
 * Beyond the table, a four-term asymptotic expansion takes over.
 * ``harmonic_exact`` returns H_n as an exact rational, the reference
   oracle for every floating-point tolerance in this package.
 
 A ``HarmonicTable`` materializes entries on demand, up to its fixed
-``max_index``; growth is locked and published by swapping in a new array,
+``max_index``; growth is locked and published by swapping in a grown copy,
 so a table is safe to share across threads.  Every function here returns
 the same value whatever the table has materialized so far.
+
+Exact rationals are plain stdlib fractions (``ExactHarmonic``), imported
+on first use, so the float tiers load without ``fractions``.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 
-# Exact rationals are plain stdlib fractions: auto-reduced, positive
-# denominator, arbitrary precision.
-ExactHarmonic = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EULER_GAMMA = 0.57721566490153286060651209008240243104215933593992
 
@@ -49,6 +53,21 @@ DEFAULT_CAPACITY = 1 << 20
 MIN_CAPACITY = 64
 MAX_CAPACITY = 1 << 20
 
+#: Scale of the exact prefix: fl(1/i) is a multiple of 2^-(52 + bit_length(i)),
+#: so every term fl(1/i) * 2^FIXED_POINT_SHIFT with i <= MAX_CAPACITY is an
+#: integer.
+FIXED_POINT_SHIFT = 53 + MAX_CAPACITY.bit_length() + 2
+
+
+def __getattr__(name: str):
+    # Exact rationals are plain stdlib fractions: auto-reduced, positive
+    # denominator, arbitrary precision.
+    if name == "ExactHarmonic":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class HarmonicTable:
     """Prefix table of H_0..H_N in double precision, grown on demand.
@@ -65,15 +84,24 @@ class HarmonicTable:
     prefix sums wherever the float grid allows.  Growth resumes the
     summation from its saved state, so every entry is bit-identical to a
     table built in one pass, whatever order the requests came in.
+
+    Alongside, ``_prefix[n]`` is the exact integer
+    sum(fl(1/i) * 2^FIXED_POINT_SHIFT for i in 1..n).  A difference of two
+    prefixes is the exact sum of the rounded terms of a span, so
+    converting it to float rounds that sum once.  The prefixes grow under
+    the same lock, but only as far as short spans ask: at about 48 bytes
+    per entry, against 8 for a float, reading ``values`` does not build
+    them.
     """
 
-    __slots__ = ("max_index", "_values", "_state", "_lock")
+    __slots__ = ("max_index", "_values", "_prefix", "_state", "_lock")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 0:
             raise ValueError(f"capacity must be nonnegative, got {capacity}")
         self.max_index = min(max(capacity, MIN_CAPACITY), MAX_CAPACITY)
         self._values = array("d", [0.0])
+        self._prefix = [0]
         self._state = (0.0, 0.0, 0.0)  # (hi, lo, v) after the last entry
         self._lock = threading.Lock()
 
@@ -120,6 +148,24 @@ class HarmonicTable:
             self._values = values
             return values
 
+    def _grow_prefix(self, n: int) -> list[int]:
+        """Build exact prefixes through at least index n <= max_index,
+        doubling as ``_grow`` does, and swap the grown copy in whole."""
+        with self._lock:
+            prefix = self._prefix
+            done = len(prefix) - 1
+            if n <= done:
+                return prefix
+            target = min(max(n, 2 * done, MIN_CAPACITY), self.max_index)
+            prefix = prefix[:]
+            p = prefix[-1]
+            ldexp = math.ldexp
+            for i in range(done + 1, target + 1):
+                p += int(ldexp(1.0 / i, FIXED_POINT_SHIFT))
+                prefix.append(p)
+            self._prefix = prefix
+            return prefix
+
     def __repr__(self) -> str:
         return f"HarmonicTable(max_index={self.max_index})"
 
@@ -159,11 +205,14 @@ def harmonic(table: HarmonicTable, n: int) -> float:
 
 
 def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
-    """H_hi - H_lo, summed directly over short spans to avoid cancellation.
+    """H_hi - H_lo, summed exactly over short spans to avoid cancellation.
 
-    Requires lo <= hi.  Spans of at most DIRECT_SUM_SPAN terms inside the
-    table are evaluated as an exactly rounded sum of 1/i; longer spans
-    fall back to differencing two harmonic values.
+    Requires lo <= hi.  A span of at most DIRECT_SUM_SPAN terms inside the
+    table is the difference of two exact fixed-point prefixes, rounded to
+    float once: the correctly rounded sum of fl(1/i) for i in lo+1..hi,
+    the value ``math.fsum`` gives for those terms (int-to-float conversion
+    rounds half to even, and scaling by a power of two is exact).  Longer
+    spans fall back to differencing two harmonic values.
     """
     if lo < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {lo}")
@@ -172,11 +221,17 @@ def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
     if lo == hi:
         return 0.0
     if hi - lo <= DIRECT_SUM_SPAN and hi <= table.max_index:
-        return math.fsum(1.0 / i for i in range(lo + 1, hi + 1))
+        prefix = table._prefix
+        try:
+            span = prefix[hi] - prefix[lo]
+        except IndexError:
+            prefix = table._grow_prefix(hi)
+            span = prefix[hi] - prefix[lo]
+        return math.ldexp(float(span), -FIXED_POINT_SHIFT)
     return harmonic(table, hi) - harmonic(table, lo)
 
 
-_exact_cache: list[Fraction] = [Fraction(0)]
+_exact_cache: list[Fraction] = []
 
 
 def harmonic_exact(n: int) -> Fraction:
@@ -188,6 +243,11 @@ def harmonic_exact(n: int) -> Fraction:
             f"exact harmonic numbers are limited to n <= {EXACT_LIMIT}, got {n}"
         )
     cache = _exact_cache
-    while len(cache) <= n:
-        cache.append(cache[-1] + Fraction(1, len(cache)))
+    if len(cache) <= n:
+        from fractions import Fraction
+
+        if not cache:
+            cache.append(Fraction(0))
+        while len(cache) <= n:
+            cache.append(cache[-1] + Fraction(1, len(cache)))
     return cache[n]

@@ -1,14 +1,39 @@
 """Longest-common-subsequence lengths over interned symbol sequences.
 
 Several engines share one contract (the exact LCS length).  The
-bit-parallel engine is the production one, run by ``lcs_len`` for
-``auto``; ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named
-oracles.  Only lengths are ever computed: every quantity the distance
-needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no traceback
-is kept.  Memory differs by engine: ``dp`` keeps two rows over the
-shorter input, the bit-parallel engine one match mask per distinct
-symbol of the shorter input, and Hunt-Szymanski occurrence lists over
-all of ``b`` plus at most min(|a|, |b|) tails.
+bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
+one, in two forms:
+
+* scalar, ``lcs_len_bitparallel(a, b)``: one pair, the shorter input
+  along the bits of one integer; ``lcs_len`` runs it for ``auto``;
+* batched, ``lcs_lens(q, corpus)``: one query against many strings, each
+  corpus string one lane of a single packed integer, so one row update
+  per query symbol advances every pair at once.
+
+``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
+always run per pair.  Only lengths are ever computed: every quantity the
+distance needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no
+traceback is kept.  Memory differs by engine: ``dp`` keeps two rows over
+the shorter input, the scalar bit-parallel engine one match mask per
+distinct symbol of the shorter input, and Hunt-Szymanski occurrence lists
+over all of ``b`` plus at most min(|a|, |b|) tails.
+
+Packing rule.  ``lcs_lens`` packs only for ``auto``, only when every id,
+in the query and in the corpus, is below 256 (a lane is built from the
+ids as bytes), and only while the masks it holds at once, one per
+distinct query symbol at one bit per corpus symbol plus byte-aligned
+guard bits, take no more bytes than the corpus's own ids (8 bytes per
+symbol).  Otherwise it runs the scalar engine pair by pair.  Each mask
+costs a pass over the packed corpus, so the rule keeps the batched form
+to few distinct query symbols.  Measured on a 2-core x86-64 machine,
+lane building included, packed time over per-pair time was 0.33 for a
+36-symbol query with 4 distinct symbols against 2,000 lines of 8-64
+symbols, and 0.38, 0.54 and 0.58 at 14, 20 and 30 distinct symbols.
+Against 400 lines of 100-400 symbols over an alphabet of 200, a
+250-symbol query (143 distinct) took 1.40 times as long packed, and its
+masks raised the process's peak memory by 2.6 MB; the rule refuses it.
+The rule still admits a short query with a few dozen distinct symbols
+against such long lines, where packing is slower (1.68 at 37 distinct).
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -18,8 +43,8 @@ between concurrent distance computations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Sequence
+from itertools import accumulate
 from typing import Literal
 
 from .errors import CapacityError
@@ -32,15 +57,37 @@ ENGINES = ("auto", "dp", "bitparallel", "huntszymanski", "bruteforce")
 BRUTE_FORCE_LIMIT = 20
 
 
-@dataclass(frozen=True, slots=True)
 class SymbolSeq:
-    """An immutable sequence of nonnegative integer symbol ids."""
+    """An immutable sequence of nonnegative integer symbol ids.
 
-    ids: tuple[int, ...]
+    Equal, and hashed alike, exactly when the ids are.  The packed form
+    of ``lcs_lens`` caches the sequence's lane bytes on first use.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.ids, tuple):
-            object.__setattr__(self, "ids", tuple(self.ids))
+    __slots__ = ("ids", "_lane")
+
+    def __init__(self, ids):
+        _set(self, "ids", ids if type(ids) is tuple else tuple(ids))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ids == other.ids
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ids,))
+
+    def __repr__(self) -> str:
+        return f"SymbolSeq(ids={self.ids!r})"
+
+    def __reduce__(self):
+        return SymbolSeq, (self.ids,)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -50,6 +97,9 @@ class SymbolSeq:
 
     def __getitem__(self, i: int) -> int:
         return self.ids[i]
+
+
+_set = object.__setattr__
 
 
 class Interner:
@@ -206,6 +256,86 @@ def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
     if engine == "bruteforce":
         return lcs_len_bruteforce(a, b)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+
+
+def lcs_lens(
+    q: SymbolSeq, corpus: Sequence[SymbolSeq], engine: Engine = "auto"
+) -> list[int]:
+    """LCS lengths of q against every corpus string, in corpus order.
+
+    For ``auto`` this is the batched form of the bit-parallel engine when
+    the packing rule admits the input (see the module docstring), and the
+    scalar per-pair loop otherwise; every other engine runs per pair.
+    Either way each length equals ``lcs_len(q, s, engine)``.
+    """
+    if engine == "auto" and corpus:
+        symbols = set(q.ids)
+        lengths = [len(s.ids) for s in corpus]
+        widths = [n // 8 + 1 for n in lengths]
+        if symbols <= _BYTE_IDS and len(symbols) * sum(widths) <= 8 * sum(lengths):
+            try:
+                lanes = b"".join([_lane(s) for s in corpus])
+            except ValueError:  # a corpus id of 256 or more
+                pass
+            else:
+                return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
+    return [lcs_len(q, s, engine) for s in corpus]
+
+
+def _lane(s: SymbolSeq) -> bytes:
+    """The lane of s in the packed text, most significant bit first: one
+    to eight zero pad bytes (the guard bits), then the ids last to first.
+
+    Made once per sequence and cached on it; raises ValueError for an id
+    of 256 or more.
+    """
+    try:
+        return s._lane
+    except AttributeError:
+        ids = s.ids
+        lane = bytes(8 - len(ids) % 8) + bytes(ids[::-1])
+        _set(s, "_lane", lane)
+        return lane
+
+
+_BYTE_IDS = frozenset(range(256))
+_ZEROS = b"0" * 256
+_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
+
+
+def _lcs_lens_packed(
+    qids: tuple[int, ...],
+    symbols: set[int],
+    lengths: list[int],
+    widths: list[int],
+    lanes: bytes,
+) -> list[int]:
+    # Lane j spans widths[j] bytes and holds string j in its low
+    # lengths[j] bits; lane 0 is the most significant.  The text ``lanes``
+    # has one byte per bit, so translating it to ASCII digits gives the
+    # match mask of one symbol over every lane at once.  A mask may have
+    # guard bits set (pad bytes are zero, like symbol 0), but the row's
+    # guard bits stay clear, so u never has them: a carry out of a lane
+    # stops in its first guard bit and is masked off.
+    peq = {}
+    for s in symbols:
+        mask = int(lanes.translate(_ZEROS[:s] + b"1" + _ZEROS[s + 1 :]), 2)
+        if mask:
+            peq[s] = mask
+    full = int.from_bytes(
+        b"".join([((1 << n) - 1).to_bytes(w, "big") for n, w in zip(lengths, widths)]),
+        "big",
+    )
+    row = full
+    for s in qids:
+        mask = peq.get(s)
+        if mask:
+            u = row & mask
+            row = ((row + u) | (row - u)) & full
+    # a lane's LCS is the number of its string bits cleared in the row
+    matched = (row ^ full).to_bytes(len(lanes) // 8, "big").translate(_POPCOUNT)
+    cum = [0, *accumulate(matched)]
+    return [cum[end] - cum[end - w] for w, end in zip(widths, accumulate(widths))]
 
 
 def scs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:

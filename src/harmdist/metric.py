@@ -18,29 +18,64 @@ All functions are pure; a shared HarmonicTable may be used concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTable
-from .lcs import Engine, SymbolSeq, is_subsequence, lcs_len
+from .lcs import Engine, SymbolSeq, is_subsequence, lcs_len, lcs_lens
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Exact evaluation is guarded at |a| + |b| <= this (rational blowup).
 EXACT_LENGTH_LIMIT = 10_000
 
+_FIELDS = ("insertion_cost", "deletion_cost", "total")
 
-@dataclass(frozen=True, slots=True)
+
 class DistanceBreakdown:
     """Insertion and deletion halves of one distance value.
 
     ``insertion_cost`` grows the first string into a shortest common
     supersequence, ``deletion_cost`` shrinks that back to the second;
-    ``total`` is their sum and equals the distance.
+    ``total`` is their sum and equals the distance.  Immutable; equal,
+    and hashed alike, exactly when the three fields are.
     """
 
-    insertion_cost: float
-    deletion_cost: float
-    total: float
+    __slots__ = _FIELDS
+
+    def __init__(self, insertion_cost: float, deletion_cost: float, total: float):
+        _set(self, "insertion_cost", insertion_cost)
+        _set(self, "deletion_cost", deletion_cost)
+        _set(self, "total", total)
+
+    def _fields(self) -> tuple[float, float, float]:
+        return self.insertion_cost, self.deletion_cost, self.total
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(_FIELDS, self._fields()))
+        return f"DistanceBreakdown({fields})"
+
+    def __reduce__(self):
+        return DistanceBreakdown, self._fields()
+
+
+_set = object.__setattr__
 
 
 def distance(
@@ -62,6 +97,28 @@ def distance(
     return _distance_from_lengths(
         len(a.ids), len(b.ids), lcs_len(a, b, engine), table
     )
+
+
+def distances(
+    q: SymbolSeq,
+    corpus: Sequence[SymbolSeq],
+    *,
+    table: HarmonicTable | None = None,
+    engine: Engine = "auto",
+) -> list[float]:
+    """``[distance(q, s, table=table, engine=engine) for s in corpus]``,
+    bit for bit, with the LCS lengths taken one-vs-many by ``lcs_lens``.
+
+    A string equal to q gets exactly 0.0 from the length formula itself:
+    both harmonic spans are empty.
+    """
+    if table is None:
+        table = default_table()
+    la = len(q.ids)
+    return [
+        _distance_from_lengths(la, len(s.ids), lcs, table)
+        for s, lcs in zip(corpus, lcs_lens(q, corpus, engine))
+    ]
 
 
 def distance_decomposed(
@@ -117,7 +174,7 @@ def distance_exact(
             f"got {la + lb}"
         )
     if a.ids == b.ids:
-        return Fraction(0)
+        return harmonic_exact(0)
     return _distance_exact_from_lengths(la, lb, lcs_len(a, b, engine))
 
 

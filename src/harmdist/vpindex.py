@@ -45,7 +45,7 @@ except ImportError:
 from .errors import IndexFormatError
 from .harmonic import HarmonicTable, default_table
 from .lcs import Engine, SymbolSeq
-from .metric import distance
+from .metric import distance, distances
 
 LEAF_SIZE = 8
 PRUNE_MARGIN = 1e-9
@@ -152,10 +152,17 @@ class VpTree:
                 continue
             members = order[lo:hi]
             pivot = members[rng.randrange(hi - lo)]
+            rest = [i for i in members if i != pivot]
             ranked = sorted(
-                (distance(corpus[pivot], corpus[i], table=table, engine=engine), i)
-                for i in members
-                if i != pivot
+                zip(
+                    distances(
+                        corpus[pivot],
+                        [corpus[i] for i in rest],
+                        table=table,
+                        engine=engine,
+                    ),
+                    rest,
+                )
             )
             p = _split(lo, hi)
             pivots[p] = pivot
@@ -277,9 +284,14 @@ class VpTree:
                 continue
             p = _split(lo, hi)
             pivot, radius = self.corpus[self.pivots[p]], self.radii[p]
-            for j in range(lo, hi):
-                i = self.order[j]
-                d = distance(pivot, self.corpus[i], table=self.table, engine=self.engine)
+            members = self.order[lo:hi]
+            ds = distances(
+                pivot,
+                [self.corpus[i] for i in members],
+                table=self.table,
+                engine=self.engine,
+            )
+            for j, i, d in zip(range(lo, hi), members, ds):
                 if j < p and d > radius:
                     raise ValueError(
                         f"inside element {i} at distance {d} exceeds radius {radius}"

@@ -54,6 +54,45 @@ def test_dist_leaves_numpy_unloaded():
     assert out(r) == "0.500000000000\nFalse\n0.500000000000\nTrue\n"
 
 
+def test_dist_and_knn_load_only_what_they_run(tmp_path):
+    # propcheck only for check, vpindex only under --index, fractions only
+    # for exact values, numpy only for the dp oracle
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("acgt\nacca\ngatt\n")
+    probe = (
+        "import sys; from harmdist import cli; "
+        "assert cli.main(['dist', 'abc', 'abd']) == 0; "
+        f"assert cli.main(['knn', {str(corpus)!r}, 'acg', '--k', '2']) == 0; "
+        "print(sorted(m for m in ('harmdist.propcheck', 'harmdist.vpindex', "
+        "'fractions', 'numpy', 'dataclasses') if m in sys.modules))"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert out(r).splitlines()[-1] == "[]"
+
+
+def test_every_public_name_resolves():
+    probe = (
+        "import sys, harmdist; "
+        "assert not any(m in sys.modules for m in ('harmdist.propcheck', "
+        "'harmdist.vpindex', 'fractions')); "
+        "missing = [n for n in harmdist.__all__ if not hasattr(harmdist, n)]; "
+        "from harmdist import *; "
+        "print(len(harmdist.__all__), missing, callable(harmdist.harmonic), "
+        "harmdist.ExactHarmonic.__name__, harmdist.vpindex.__name__)"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert out(r) == "38 [] True Fraction harmdist.vpindex\n"
+
+
+def test_fixture_choices_name_every_planted_bug():
+    from harmdist.cli import FIXTURE_NAMES
+    from harmdist.propcheck import FIXTURES
+
+    assert sorted(FIXTURE_NAMES) == sorted(FIXTURES)
+
+
 def test_dist_substitution():
     r = run("dist", "abc", "abd")
     assert out(r) == "0.500000000000\n"
@@ -188,6 +227,46 @@ def test_knn_with_and_without_index_agree(corpus_file, tmp_path):
     indexed = run(*query, "--seed", "5", "--index", index)
     linear = run(*query, "--no-index")
     assert indexed.stdout == linear.stdout == run(*query).stdout
+
+
+def _acgt_lines(n, seed):
+    rng = random.Random(seed)
+    return ["".join(rng.choice("acgt") for _ in range(rng.randint(8, 64))) for _ in range(n)]
+
+
+def _word_lines(n, seed):
+    # 600 distinct words, so ids run well past 255
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(600)]
+    return [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "lines, mode, query",
+    [
+        (_acgt_lines(2_000, 1), "codepoints", "acgtacgtaacctgca"),
+        (_word_lines(400, 2), "words", "w1 w300 w599 w2 w450"),
+    ],
+    ids=["acgt-2000", "words-600"],
+)
+def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    base = ("knn", str(corpus), query, "--k", "15", "--mode", mode)
+    outputs = {}
+    for engine in ("auto", "huntszymanski"):
+        index = tmp_path / f"{engine}.hvpt"
+        plain = run(*base, "--engine", engine)
+        built = run(*base, "--engine", engine, "--index", str(index))
+        loaded = run(*base, "--engine", engine, "--index", str(index))
+        assert plain.returncode == built.returncode == loaded.returncode == 0
+        assert plain.stdout == built.stdout == loaded.stdout
+        outputs[engine] = plain.stdout
+    assert outputs["auto"] == outputs["huntszymanski"]
+    assert len(outputs["auto"].splitlines()) == 15
+    assert (tmp_path / "auto.hvpt").read_bytes() == (
+        tmp_path / "huntszymanski.hvpt"
+    ).read_bytes()
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):

@@ -6,6 +6,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ hmod = importlib.import_module("harmdist.harmonic")
 from harmdist.harmonic import (
     DIRECT_SUM_SPAN,
     EXACT_LIMIT,
+    FIXED_POINT_SHIFT,
     MAX_CAPACITY,
     MIN_CAPACITY,
     STEP_BOUND,
@@ -143,6 +145,42 @@ def test_diff_additivity(lo, mid, hi):
     assert abs(lhs - rhs) <= 1e-12
 
 
+def _fsum_span(lo: int, hi: int) -> float:
+    return math.fsum(1.0 / i for i in range(lo + 1, hi + 1))
+
+
+def test_short_spans_equal_fsum_exhaustively_over_a_low_range():
+    table = HarmonicTable(MAX_CAPACITY)
+    mismatches = [
+        (lo, lo + span)
+        for lo in range(4096)
+        for span in range(1, DIRECT_SUM_SPAN + 1)
+        if harmonic_diff(table, lo, lo + span) != _fsum_span(lo, lo + span)
+    ]
+    assert mismatches == []
+
+
+def test_short_spans_equal_fsum_near_max_index():
+    table = HarmonicTable(MAX_CAPACITY)
+    rng = random.Random(13)
+    spans = []
+    for _ in range(20_000):
+        hi = MAX_CAPACITY - rng.randrange(100_000)
+        spans.append((hi - rng.randint(1, DIRECT_SUM_SPAN), hi))
+    spans.append((MAX_CAPACITY - DIRECT_SUM_SPAN, MAX_CAPACITY))
+    assert [harmonic_diff(table, lo, hi) for lo, hi in spans] == [
+        _fsum_span(lo, hi) for lo, hi in spans
+    ]
+
+
+def test_every_prefix_term_is_an_exact_integer():
+    # the shift leaves no fractional bit of fl(1/i) anywhere in the table
+    for i in (1, 3, 7, 1000, 65_537, MAX_CAPACITY - 1, MAX_CAPACITY):
+        scaled = math.ldexp(1.0 / i, FIXED_POINT_SHIFT)
+        assert scaled == int(scaled)
+        assert Fraction(int(scaled), 2**FIXED_POINT_SHIFT) == Fraction(1.0 / i)
+
+
 def test_diff_spanning_the_table_boundary():
     lo, hi = SMALL.max_index - 5, SMALL.max_index + 40
     expected = float(harmonic_exact(hi) - harmonic_exact(lo))
@@ -194,18 +232,40 @@ def test_construction_materializes_nothing():
     assert len(table._values) < 1000
 
 
+def _one_pass_prefix(n: int):
+    """The exact prefixes through n, summed in one pass independently of
+    the table."""
+    terms = (int(math.ldexp(1.0 / i, FIXED_POINT_SHIFT)) for i in range(1, n + 1))
+    return accumulate(terms, initial=0)
+
+
+def _int_digest(prefix) -> str:
+    h = hashlib.sha256()
+    for p in prefix:
+        h.update(p.to_bytes(16, "little"))
+    return h.hexdigest()
+
+
 def test_growth_in_irregular_steps_is_bit_identical():
     grown = HarmonicTable(MAX_CAPACITY)
     for n in (10, 1000, 70_000, 3, 70_001):
         harmonic(grown, n)
+        harmonic_diff(grown, n - 1, n)
     assert len(grown._values) - 1 < grown.max_index  # not yet full
+    prefix = grown._prefix
+    assert 70_001 < len(prefix) - 1 < grown.max_index
+    one_step = HarmonicTable(MAX_CAPACITY)
+    assert one_step._grow_prefix(len(prefix) - 1) == prefix
+    assert prefix == list(_one_pass_prefix(len(prefix) - 1))
     whole = HarmonicTable(MAX_CAPACITY)
     assert _le_bytes(grown.values) == _le_bytes(whole.values)
     assert hashlib.sha256(_le_bytes(whole.values)).hexdigest() == FULL_TABLE_SHA256
+    assert len(whole._prefix) == 1  # reading values builds no prefix
 
 
 def test_concurrent_growth_gives_same_values():
     reference = HarmonicTable(MAX_CAPACITY).values
+    reference_prefix = _int_digest(_one_pass_prefix(MAX_CAPACITY))
     table = HarmonicTable(MAX_CAPACITY)
     threads_n = 8
     barrier = threading.Barrier(threads_n)
@@ -219,7 +279,10 @@ def test_concurrent_growth_gives_same_values():
         order = indices[:]
         random.Random(k).shuffle(order)
         barrier.wait(timeout=30)
-        results[k] = [(n, harmonic(table, n)) for n in order]
+        results[k] = [
+            (n, harmonic(table, n), harmonic_diff(table, max(n - 5, 0), n))
+            for n in order
+        ]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -234,5 +297,7 @@ def test_concurrent_growth_gives_same_values():
     assert not any(t.is_alive() for t in threads)
     for result in results:
         assert result is not None
-        assert all(value == reference[n] for n, value in result)
+        assert all(value == reference[n] for n, value, _ in result)
+        assert all(span == _fsum_span(max(n - 5, 0), n) for n, _, span in result)
     assert _le_bytes(table.values) == _le_bytes(reference)
+    assert _int_digest(table._prefix) == reference_prefix

@@ -1,3 +1,7 @@
+import importlib
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +16,10 @@ from harmdist import (
     lcs_len_bruteforce,
     lcs_len_dp,
     lcs_len_hunt_szymanski,
+    lcs_lens,
     scs_len,
 )
+from harmdist.metric import distance, distances
 from helpers import seq, symbol_seqs
 
 ALL_ENGINES = [
@@ -52,6 +58,21 @@ def test_symbolseq_basics():
     assert s[1] == 2
     assert SymbolSeq([1, 2, 3]) == s  # coerced to tuple
     assert len(SymbolSeq(())) == 0
+
+
+def test_symbolseq_is_an_immutable_value():
+    s = SymbolSeq((1, 2, 3))
+    lcs_lens(seq("ab"), [s])  # caches the lane, which is no field
+    assert s == SymbolSeq((1, 2, 3)) and hash(s) == hash(SymbolSeq([1, 2, 3]))
+    assert s != SymbolSeq((1, 2)) and s != (1, 2, 3)
+    assert repr(s) == "SymbolSeq(ids=(1, 2, 3))"
+    assert pickle.loads(pickle.dumps(s)) == s
+    with pytest.raises(AttributeError):
+        s.ids = (4,)
+    with pytest.raises(AttributeError):
+        del s.ids
+    with pytest.raises(AttributeError):
+        s.extra = 1
 
 
 # -- fixed examples -----------------------------------------------------------
@@ -162,3 +183,123 @@ def test_appending_shared_symbol_increments(a, b, sym):
 @settings(max_examples=300, deadline=None)
 def test_subsequence_iff_lcs_saturates(a, b):
     assert is_subsequence(a, b) == (lcs_len(a, b) == len(a))
+
+
+# -- one-vs-many lengths ------------------------------------------------------
+
+lcs_mod = importlib.import_module("harmdist.lcs")
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Record each run of the packed form, by its number of lanes."""
+    calls = []
+    real = lcs_mod._lcs_lens_packed
+
+    def spy(qids, symbols, lengths, widths, lanes):
+        calls.append(len(lengths))
+        return real(qids, symbols, lengths, widths, lanes)
+
+    monkeypatch.setattr(lcs_mod, "_lcs_lens_packed", spy)
+    return calls
+
+
+def scalar_lens(q, corpus):
+    return [lcs_len_bitparallel(q, s) for s in corpus]
+
+
+def test_lcs_lens_empty_query(packed_calls):
+    corpus = [seq("acgt"), seq(""), seq("a" * 40)]
+    assert lcs_lens(seq(""), corpus) == [0, 0, 0] == scalar_lens(seq(""), corpus)
+    assert packed_calls == [3]
+
+
+def test_lcs_lens_empty_corpus_lines(packed_calls):
+    corpus = [seq(""), seq("gattaca"), seq(""), seq("cat"), seq("")]
+    q = seq("attack")
+    assert lcs_lens(q, corpus) == scalar_lens(q, corpus) == [0, 5, 0, 2, 0]
+    assert packed_calls == [5]
+
+
+def test_lcs_lens_without_corpus_or_symbols():
+    assert lcs_lens(seq("abc"), []) == []
+    # no symbol to pack: every lane would be guard bits only
+    assert lcs_lens(seq("abc"), [seq(""), seq("")]) == [0, 0]
+
+
+@pytest.mark.parametrize("length", [7, 8, 9, 15, 16, 17, 64, 65])
+def test_lcs_lens_lanes_at_byte_and_guard_boundaries(length, packed_calls):
+    rng = random.Random(length)
+    lane = SymbolSeq(tuple(rng.randrange(3) for _ in range(length)))
+    # the string itself saturates its lane, so every carry reaches the guard
+    corpus = [lane, SymbolSeq((0,) * length), SymbolSeq((1,) * length), lane]
+    queries = [
+        lane,
+        SymbolSeq(lane.ids[::-1]),
+        SymbolSeq((0, 1, 2) * length),
+        SymbolSeq((2,) * (2 * length)),
+    ]
+    for q in queries:
+        assert lcs_lens(q, corpus) == scalar_lens(q, corpus)
+    assert lcs_lens(lane, corpus)[0] == length
+    assert packed_calls == [4] * len(queries) + [4]
+
+
+def test_lcs_lens_query_symbols_absent_from_corpus(packed_calls):
+    corpus = [seq("aaaa"), seq("bbbbbbbbb"), seq("ab")]
+    assert lcs_lens(seq("xyz"), corpus) == [0, 0, 0]
+    assert lcs_lens(seq("xaybz"), corpus) == scalar_lens(seq("xaybz"), corpus)
+    assert packed_calls == [3, 3]
+
+
+def test_lcs_lens_corpus_holding_the_query_gives_distance_zero(packed_calls):
+    q = seq("gattaca")
+    corpus = [seq("gatt"), q, seq("gattacagattaca"), SymbolSeq(q.ids)]
+    assert lcs_lens(q, corpus) == [4, 7, 7, 7]
+    ds = distances(q, corpus)
+    assert ds[1] == 0.0 and ds[3] == 0.0
+    assert all(d > 0.0 for d in (ds[0], ds[2]))
+    assert ds == [distance(q, s) for s in corpus]
+    assert packed_calls == [4, 4]
+
+
+def test_lcs_lens_one_line_corpus(packed_calls):
+    assert lcs_lens(seq("ABCBDAB"), [seq("BDCABA")]) == [4]
+    assert packed_calls == [1]
+
+
+def test_lcs_lens_ids_of_256_or_more_run_per_pair(packed_calls):
+    wide = SymbolSeq((1, 256, 2, 300))
+    narrow = [SymbolSeq((1, 2, 3)), SymbolSeq((2, 1))]
+    assert lcs_lens(SymbolSeq((1, 2)), narrow + [wide]) == [2, 1, 2]
+    assert lcs_lens(wide, narrow) == [2, 1]
+    assert packed_calls == []
+    assert lcs_lens(SymbolSeq((1, 2)), narrow) == [2, 1]
+    assert packed_calls == [2]
+
+
+def test_lcs_lens_query_with_many_distinct_symbols_runs_per_pair(packed_calls):
+    rng = random.Random(5)
+    corpus = [SymbolSeq(tuple(rng.randrange(200) for _ in range(40))) for _ in range(30)]
+    many = SymbolSeq(tuple(range(100)))  # 100 masks of 30 lanes > 8 bytes an id
+    assert lcs_lens(many, corpus) == scalar_lens(many, corpus)
+    assert packed_calls == []
+    few = SymbolSeq(tuple(range(0, 200, 20)))
+    assert lcs_lens(few, corpus) == scalar_lens(few, corpus)
+    assert packed_calls == [30]
+
+
+@pytest.mark.parametrize("engine", ["dp", "bitparallel", "huntszymanski"])
+def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls):
+    corpus = [seq("acgt"), seq("gatc"), seq("")]
+    assert lcs_lens(seq("cat"), corpus, engine) == [2, 2, 0]
+    assert packed_calls == []
+
+
+@given(
+    q=symbol_seqs(6, 40),
+    corpus=st.lists(symbol_seqs(6, 80), min_size=1, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_lcs_lens_matches_scalar_on_random_corpora(q, corpus):
+    assert lcs_lens(q, corpus) == scalar_lens(q, corpus)

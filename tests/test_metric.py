@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import strategies as st
 
 from harmdist import (
     CapacityError,
+    DistanceBreakdown,
     HarmonicTable,
     SymbolSeq,
     distance,
     distance_decomposed,
     distance_exact,
     distance_subsequence,
+    distances,
     harmonic,
 )
-from helpers import seq, symbol_seqs
+from helpers import random_seq, seq, symbol_seqs
 
 TABLE = HarmonicTable(10_000)
 
@@ -161,3 +164,59 @@ def test_disjoint_equal_length_distance_grows_toward_2ln2():
 def test_unbounded_distance_from_empty():
     # d(empty, b) = H_|b| keeps growing; no clamp to [0, 1]
     assert distance(SymbolSeq(()), SymbolSeq((0,) * 5000)) > 9.0
+
+
+# -- one-vs-many distances, bit for bit ---------------------------------------
+
+
+def test_distances_equal_scalar_distance_on_the_criterion_7_corpus():
+    rng = random.Random(77)
+    corpus = [random_seq(rng, 4, 64) for _ in range(2_000)]
+    queries = [random_seq(rng, 4, 64) for _ in range(50)]
+    for q in queries:
+        assert distances(q, corpus) == [distance(q, s) for s in corpus]
+
+
+def test_distances_equal_scalar_distance_on_criterion_6_groups():
+    # the criterion 6 pair stream, regrouped one-vs-many per alphabet: the
+    # first string drawn over an alphabet is the query for every string
+    # drawn over it
+    rng = random.Random(66)
+    groups: dict[int, list[SymbolSeq]] = {}
+    for _ in range(120):
+        alphabet = rng.choice((2, 4, 26, 256))
+        for length in (rng.randint(0, 5_000), rng.randint(0, 5_000)):
+            groups.setdefault(alphabet, []).append(
+                SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(length)))
+            )
+    assert sorted(groups) == [2, 4, 26, 256]
+    for strings in groups.values():
+        q = strings[0]
+        got = distances(q, strings)
+        assert got == [distance(q, s) for s in strings]
+        assert got[0] == 0.0
+
+
+def test_distances_with_a_table_and_an_engine():
+    corpus = [seq("kitten"), seq("sitting"), seq(""), seq("kitten")]
+    q = seq("mitten")
+    for engine in ("auto", "dp", "huntszymanski"):
+        assert distances(q, corpus, table=TABLE, engine=engine) == [
+            d(q, s) for s in corpus
+        ]
+    assert distances(q, []) == []
+
+
+def test_breakdown_is_an_immutable_value():
+    bd = distance_decomposed(seq("abc"), seq("abd"), table=TABLE)
+    same = DistanceBreakdown(bd.insertion_cost, bd.deletion_cost, bd.total)
+    assert bd == same and hash(bd) == hash(same)
+    assert bd != DistanceBreakdown(bd.deletion_cost, bd.insertion_cost, bd.total + 1)
+    assert repr(bd) == (
+        f"DistanceBreakdown(insertion_cost={bd.insertion_cost!r}, "
+        f"deletion_cost={bd.deletion_cost!r}, total={bd.total!r})"
+    )
+    with pytest.raises(AttributeError):
+        bd.total = 0.0
+    with pytest.raises(AttributeError):
+        bd.extra = 1

@@ -77,6 +77,30 @@ def test_build_is_deterministic(corpus, tree):
     assert again.radii == tree.radii
 
 
+@pytest.mark.parametrize(
+    "name, corpus_of",
+    [
+        # the criterion 7 corpus: every pivot's distances are packed
+        ("acgt", lambda: make_corpus(2_000, seed=77, max_length=64)),
+        # ids of 256 and more: every pivot's distances run per pair
+        ("wide-ids", lambda: make_corpus(300, seed=3, alphabet=1_000)),
+    ],
+)
+def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path):
+    corpus = corpus_of()
+    packed = VpTree.build(corpus, seed=7)
+    scalar = VpTree.build(corpus, seed=7, engine="bitparallel")
+    assert packed.order == scalar.order
+    assert packed.pivots == scalar.pivots
+    assert packed.radii == scalar.radii
+    packed.validate()
+    packed.save(tmp_path / "packed.hvpt")
+    scalar.save(tmp_path / "scalar.hvpt")
+    assert (tmp_path / "packed.hvpt").read_bytes() == (
+        tmp_path / "scalar.hvpt"
+    ).read_bytes()
+
+
 def test_different_seed_changes_nothing_about_results(corpus, tree):
     other = VpTree.build(corpus, seed=8, table=TABLE)
     rng = random.Random(2)

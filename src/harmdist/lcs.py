@@ -2,38 +2,47 @@
 
 Several engines share one contract (the exact LCS length).  The
 bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
-one, in two forms:
+one, in three forms:
 
 * scalar, ``lcs_len_bitparallel(a, b)``: one pair, the shorter input
   along the bits of one integer; ``lcs_len`` runs it for ``auto``;
-* batched, ``lcs_lens(q, corpus)``: one query against many strings, each
-  corpus string one lane of a single packed integer, so one row update
-  per query symbol advances every pair at once.
+* packed, inside ``lcs_lens(q, corpus)``: one query against many strings,
+  each corpus string one lane of a single packed integer, so one row
+  update per query symbol advances every pair at once;
+* profile, ``lcs_profile(q)``: one query against many strings, one string
+  at a time, with q along the bits and its match masks built once for
+  all of them.  ``lcs_lens`` runs it for ``auto`` when the packing rule
+  refuses, and ``metric.distance_profile`` for the vp-tree search.
 
 ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
-always run per pair.  Only lengths are ever computed: every quantity the
-distance needs collapses to |lcs| and |scs| = |a| + |b| - |lcs|, so no
-traceback is kept.  Memory differs by engine: ``dp`` keeps two rows over
-the shorter input, the scalar bit-parallel engine one match mask per
-distinct symbol of the shorter input, and Hunt-Szymanski occurrence lists
-over all of ``b`` plus at most min(|a|, |b|) tails.
+always run per pair, and so does ``bitparallel`` when named.  Only
+lengths are ever computed: every quantity the distance needs collapses to
+|lcs| and |scs| = |a| + |b| - |lcs|, so no traceback is kept.  Memory
+differs by engine: ``dp`` keeps two rows over the shorter input, the
+scalar bit-parallel engine one match mask per distinct symbol of the
+shorter input, and Hunt-Szymanski occurrence lists over all of ``b``
+plus at most min(|a|, |b|) tails.
 
 Packing rule.  ``lcs_lens`` packs only for ``auto``, only when every id,
 in the query and in the corpus, is below 256 (a lane is built from the
 ids as bytes), and only while the masks it holds at once, one per
 distinct query symbol at one bit per corpus symbol plus byte-aligned
 guard bits, take no more bytes than the corpus's own ids (8 bytes per
-symbol).  Otherwise it runs the scalar engine pair by pair.  Each mask
-costs a pass over the packed corpus, so the rule keeps the batched form
-to few distinct query symbols.  Measured on a 2-core x86-64 machine,
-lane building included, packed time over per-pair time was 0.33 for a
-36-symbol query with 4 distinct symbols against 2,000 lines of 8-64
-symbols, and 0.38, 0.54 and 0.58 at 14, 20 and 30 distinct symbols.
-Against 400 lines of 100-400 symbols over an alphabet of 200, a
-250-symbol query (143 distinct) took 1.40 times as long packed, and its
-masks raised the process's peak memory by 2.6 MB; the rule refuses it.
-The rule still admits a short query with a few dozen distinct symbols
-against such long lines, where packing is slower (1.68 at 37 distinct).
+symbol).  Otherwise it runs q's profile over every string.  Each packed
+mask costs a pass over the packed corpus, so the rule keeps packing to
+few distinct query symbols.  Measured on a 2-core x86-64 machine as the
+median of 61 alternating pairs, lane building included, packed time over
+profile time was 0.50 for a 36-symbol query with 4 distinct symbols
+against 2,000 lines of 8-64 ``acgt`` symbols, and 0.64, 0.73 and 0.93
+at 14, 20 and 30 distinct symbols.  Against 400 lines of 100-400
+symbols over an alphabet of 200, a 250-symbol query (146 distinct) took
+2.98 times as long packed; the rule refuses it.  The rule still admits a
+short query with a few dozen distinct symbols against such long lines,
+where packing is slower (1.80 at 37 distinct of 40).  Memory favours the
+profile: its masks take |q| bits each, and the peak of traced Python
+allocations during a call was at most 0.02 MB at every point above,
+against 0.89 MB packed on the short lines and 1.32 and 2.86 MB on the
+long ones.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -43,7 +52,7 @@ between concurrent distance computations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import accumulate
 from typing import Literal
 
@@ -171,22 +180,54 @@ def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
     xs, ys = a.ids, b.ids
     if len(xs) > len(ys):
         xs, ys = ys, xs
-    m = len(xs)
-    if m == 0 or len(ys) == 0:
+    if not xs:
         return 0
-    masks: dict[int, int] = {}
-    bit = 1
-    for s in xs:
-        masks[s] = masks.get(s, 0) | bit
-        bit <<= 1
-    full = bit - 1
+    masks, full = _match_masks(xs)
+    # not lcs_profile(xs)(ys): on one pair its closure and filter cost
+    # more than they save (16.5 against 14.9 us a pair over 120 short acgt
+    # lines, 2-core x86-64)
     row = full
     for s in ys:
         mask = masks.get(s)
         if mask:
             u = row & mask
             row = ((row + u) | (row - u)) & full
-    return m - row.bit_count()
+    return len(xs) - row.bit_count()
+
+
+def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
+    """The match mask of each distinct symbol of xs, whose bit i is set
+    where xs[i] is that symbol, and the mask ``full`` of all len(xs) bits;
+    built in one pass over xs."""
+    masks: dict[int, int] = {}
+    bit = 1
+    for s in xs:
+        masks[s] = masks.get(s, 0) | bit
+        bit <<= 1
+    return masks, bit - 1
+
+
+def lcs_profile(q: SymbolSeq) -> Callable[[SymbolSeq], int]:
+    """The function s -> |lcs(q, s)|, equal to ``lcs_len(q, s)``.
+
+    The query profile of database search (Rognes & Seeberg 2000): q lies
+    along the bits, and its match masks and ``full`` are built once, here,
+    for every string the function then meets.  Each string costs one row
+    update per symbol it shares with q; its other symbols are dropped by
+    ``filter`` and ``map`` without a Python-level step.
+    """
+    masks, full = _match_masks(q.ids)
+    m = len(q.ids)
+    mask_of = masks.get
+
+    def lcs(s: SymbolSeq) -> int:
+        row = full
+        for mask in filter(None, map(mask_of, s.ids)):
+            u = row & mask
+            row = ((row + u) | (row - u)) & full
+        return m - row.bit_count()
+
+    return lcs
 
 
 def lcs_len_hunt_szymanski(a: SymbolSeq, b: SymbolSeq) -> int:
@@ -263,10 +304,11 @@ def lcs_lens(
 ) -> list[int]:
     """LCS lengths of q against every corpus string, in corpus order.
 
-    For ``auto`` this is the batched form of the bit-parallel engine when
-    the packing rule admits the input (see the module docstring), and the
-    scalar per-pair loop otherwise; every other engine runs per pair.
-    Either way each length equals ``lcs_len(q, s, engine)``.
+    For ``auto`` this is the packed form of the bit-parallel engine when
+    the packing rule admits the input (see the module docstring), and q's
+    profile (``lcs_profile``) run over every string otherwise; every other
+    engine, ``bitparallel`` included, runs per pair.  Whichever form runs,
+    each length equals ``lcs_len(q, s, engine)``.
     """
     if engine == "auto" and corpus:
         symbols = set(q.ids)
@@ -279,6 +321,7 @@ def lcs_lens(
                 pass
             else:
                 return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
+        return list(map(lcs_profile(q), corpus))
     return [lcs_len(q, s, engine) for s in corpus]
 
 

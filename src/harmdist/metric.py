@@ -18,12 +18,12 @@ All functions are pure; a shared HarmonicTable may be used concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTable
-from .lcs import Engine, SymbolSeq, is_subsequence, lcs_len, lcs_lens
+from .lcs import Engine, SymbolSeq, is_subsequence, lcs_len, lcs_lens, lcs_profile
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -119,6 +119,27 @@ def distances(
         _distance_from_lengths(la, len(s.ids), lcs, table)
         for s, lcs in zip(corpus, lcs_lens(q, corpus, engine))
     ]
+
+
+def distance_profile(
+    q: SymbolSeq,
+    *,
+    table: HarmonicTable | None = None,
+    engine: Engine = "auto",
+) -> Callable[[SymbolSeq], float]:
+    """The function s -> ``distance(q, s, table=table, engine=engine)``,
+    bit for bit.
+
+    For ``auto`` it runs q's LCS profile (``lcs_profile``), built once
+    here, and the length formula, which gives exactly 0.0 for a string
+    equal to q; every other engine runs ``distance`` pair by pair.
+    """
+    if table is None:
+        table = default_table()
+    if engine != "auto":
+        return lambda s: distance(q, s, table=table, engine=engine)
+    lcs, la = lcs_profile(q), len(q.ids)
+    return lambda s: _distance_from_lengths(la, len(s.ids), lcs(s), table)
 
 
 def distance_decomposed(

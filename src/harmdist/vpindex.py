@@ -45,7 +45,7 @@ except ImportError:
 from .errors import IndexFormatError
 from .harmonic import HarmonicTable, default_table
 from .lcs import Engine, SymbolSeq
-from .metric import distance, distances
+from .metric import distance_profile, distances
 
 LEAF_SIZE = 8
 PRUNE_MARGIN = 1e-9
@@ -216,14 +216,14 @@ class VpTree:
         Each distance is evaluated at most once per query, so a pivot that
         also sits in a leaf below it costs one evaluation.
         """
-        corpus, table, engine = self.corpus, self.table, self.engine
-        order, pivots, radii = self.order, self.pivots, self.radii
+        corpus, order, pivots, radii = self.corpus, self.order, self.pivots, self.radii
+        to_q = distance_profile(q, table=self.table, engine=self.engine)
         cache: dict[int, float] = {}
 
         def dist(i: int) -> float:
             v = cache.get(i)
             if v is None:
-                v = cache[i] = distance(q, corpus[i], table=table, engine=engine)
+                v = cache[i] = to_q(corpus[i])
             return v
 
         # Entries are (lo, hi, parent's pivot distance, parent's radius,

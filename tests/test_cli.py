@@ -241,13 +241,24 @@ def _word_lines(n, seed):
     return [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(n)]
 
 
+def _wide_lines(n, seed):
+    # 300 code points from U+0100 and 100-400 of them a line: ids run past
+    # 255 and queries have too many distinct symbols, so nothing packs
+    rng = random.Random(seed)
+    return [
+        "".join(chr(0x100 + rng.randrange(300)) for _ in range(rng.randint(100, 400)))
+        for _ in range(n)
+    ]
+
+
 @pytest.mark.parametrize(
     "lines, mode, query",
     [
         (_acgt_lines(2_000, 1), "codepoints", "acgtacgtaacctgca"),
         (_word_lines(400, 2), "words", "w1 w300 w599 w2 w450"),
+        (_wide_lines(400, 3), "codepoints", _wide_lines(1, 4)[0]),
     ],
-    ids=["acgt-2000", "words-600"],
+    ids=["acgt-2000", "words-600", "wide-400"],
 )
 def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path):
     corpus = tmp_path / "corpus.txt"

@@ -204,6 +204,28 @@ def packed_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Record each profile ``lcs_lens`` builds, by the number of strings
+    it then measures."""
+    calls = []
+    real = lcs_mod.lcs_profile
+
+    def spy(q):
+        lcs = real(q)
+        calls.append(0)
+        slot = len(calls) - 1
+
+        def counted(s):
+            calls[slot] += 1
+            return lcs(s)
+
+        return counted
+
+    monkeypatch.setattr(lcs_mod, "lcs_profile", spy)
+    return calls
+
+
 def scalar_lens(q, corpus):
     return [lcs_len_bitparallel(q, s) for s in corpus]
 
@@ -268,32 +290,40 @@ def test_lcs_lens_one_line_corpus(packed_calls):
     assert packed_calls == [1]
 
 
-def test_lcs_lens_ids_of_256_or_more_run_per_pair(packed_calls):
+def test_lcs_lens_ids_of_256_or_more_run_per_pair(packed_calls, profile_calls):
     wide = SymbolSeq((1, 256, 2, 300))
     narrow = [SymbolSeq((1, 2, 3)), SymbolSeq((2, 1))]
     assert lcs_lens(SymbolSeq((1, 2)), narrow + [wide]) == [2, 1, 2]
     assert lcs_lens(wide, narrow) == [2, 1]
     assert packed_calls == []
+    assert profile_calls == [3, 2]
     assert lcs_lens(SymbolSeq((1, 2)), narrow) == [2, 1]
     assert packed_calls == [2]
+    assert profile_calls == [3, 2]
 
 
-def test_lcs_lens_query_with_many_distinct_symbols_runs_per_pair(packed_calls):
+def test_lcs_lens_query_with_many_distinct_symbols_runs_per_pair(
+    packed_calls, profile_calls
+):
     rng = random.Random(5)
     corpus = [SymbolSeq(tuple(rng.randrange(200) for _ in range(40))) for _ in range(30)]
     many = SymbolSeq(tuple(range(100)))  # 100 masks of 30 lanes > 8 bytes an id
     assert lcs_lens(many, corpus) == scalar_lens(many, corpus)
     assert packed_calls == []
+    assert profile_calls == [30]
     few = SymbolSeq(tuple(range(0, 200, 20)))
     assert lcs_lens(few, corpus) == scalar_lens(few, corpus)
     assert packed_calls == [30]
+    assert profile_calls == [30]
 
 
 @pytest.mark.parametrize("engine", ["dp", "bitparallel", "huntszymanski"])
-def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls):
+def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls, profile_calls):
     corpus = [seq("acgt"), seq("gatc"), seq("")]
     assert lcs_lens(seq("cat"), corpus, engine) == [2, 2, 0]
-    assert packed_calls == []
+    wide = [SymbolSeq((1, 256, 2)), SymbolSeq((300,))]
+    assert lcs_lens(SymbolSeq((2, 300, 1)), wide, engine) == [1, 1]
+    assert packed_calls == profile_calls == []
 
 
 @given(
@@ -303,3 +333,55 @@ def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls):
 @settings(max_examples=300, deadline=None)
 def test_lcs_lens_matches_scalar_on_random_corpora(q, corpus):
     assert lcs_lens(q, corpus) == scalar_lens(q, corpus)
+
+
+# -- the query profile --------------------------------------------------------
+
+
+def assert_profile_matches_oracles(q, lines):
+    lcs = lcs_mod.lcs_profile(q)
+    expected = [lcs_len_dp(q, s) for s in lines]
+    assert [lcs(s) for s in lines] == expected == scalar_lens(q, lines)
+
+
+def test_profile_of_an_empty_query_gives_zero_for_every_line():
+    lines = [seq(""), seq("acgt"), SymbolSeq((300, 1)), seq("")]
+    assert [lcs_mod.lcs_profile(seq(""))(s) for s in lines] == [0, 0, 0, 0]
+    assert_profile_matches_oracles(seq(""), lines)
+
+
+def test_profile_against_empty_lines():
+    assert_profile_matches_oracles(seq("gattaca"), [seq(""), seq("cat"), seq("")])
+
+
+def test_profile_of_a_query_longer_or_shorter_than_every_line():
+    lines = [seq("acgt"), seq("ttga"), seq("ca")]
+    assert_profile_matches_oracles(seq("acgtacgtacgtgattaca"), lines)
+    assert_profile_matches_oracles(seq("ag"), [seq("agcta" * 3), seq("ttttgggga")])
+
+
+def test_profile_skips_line_symbols_absent_from_the_query():
+    lines = [seq("xyz"), seq("xaybzc"), seq("cxbxax")]
+    assert [lcs_mod.lcs_profile(seq("abc"))(s) for s in lines] == [0, 3, 1]
+    assert_profile_matches_oracles(seq("abc"), lines)
+
+
+def test_profile_with_ids_of_256_or_more():
+    q = SymbolSeq((256, 1, 70_000, 256, 2**40))
+    lines = [SymbolSeq((1, 256, 2**40)), SymbolSeq((70_000, 256, 0)), SymbolSeq((257,))]
+    assert_profile_matches_oracles(q, lines)
+
+
+def test_profile_of_a_long_query_against_short_lines():
+    rng = random.Random(11)
+    q = SymbolSeq(tuple(rng.randrange(4) for _ in range(4_096)))
+    lines = [SymbolSeq(tuple(rng.randrange(5) for _ in range(8))) for _ in range(20)]
+    assert_profile_matches_oracles(q, lines)
+
+
+@given(data=st.data(), alphabet=st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_profile_matches_the_scalar_engines(data, alphabet):
+    q = data.draw(symbol_seqs(alphabet, 60))
+    lines = data.draw(st.lists(symbol_seqs(alphabet, 80), max_size=8))
+    assert_profile_matches_oracles(q, lines)

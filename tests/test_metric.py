@@ -18,6 +18,7 @@ from harmdist import (
     distances,
     harmonic,
 )
+from harmdist.metric import distance_profile
 from helpers import random_seq, seq, symbol_seqs
 
 TABLE = HarmonicTable(10_000)
@@ -174,7 +175,9 @@ def test_distances_equal_scalar_distance_on_the_criterion_7_corpus():
     corpus = [random_seq(rng, 4, 64) for _ in range(2_000)]
     queries = [random_seq(rng, 4, 64) for _ in range(50)]
     for q in queries:
-        assert distances(q, corpus) == [distance(q, s) for s in corpus]
+        expected = [distance(q, s) for s in corpus]
+        assert distances(q, corpus) == expected
+        assert list(map(distance_profile(q), corpus)) == expected
 
 
 def test_distances_equal_scalar_distance_on_criterion_6_groups():
@@ -195,16 +198,19 @@ def test_distances_equal_scalar_distance_on_criterion_6_groups():
         got = distances(q, strings)
         assert got == [distance(q, s) for s in strings]
         assert got[0] == 0.0
+        assert list(map(distance_profile(q), strings)) == got
 
 
 def test_distances_with_a_table_and_an_engine():
     corpus = [seq("kitten"), seq("sitting"), seq(""), seq("kitten")]
     q = seq("mitten")
     for engine in ("auto", "dp", "huntszymanski"):
-        assert distances(q, corpus, table=TABLE, engine=engine) == [
-            d(q, s) for s in corpus
-        ]
+        expected = [d(q, s) for s in corpus]
+        assert distances(q, corpus, table=TABLE, engine=engine) == expected
+        to_q = distance_profile(q, table=TABLE, engine=engine)
+        assert [to_q(s) for s in corpus] == expected
     assert distances(q, []) == []
+    assert distance_profile(seq(""))(seq("")) == 0.0
 
 
 def test_breakdown_is_an_immutable_value():

@@ -23,6 +23,15 @@ def make_corpus(n, seed=0, alphabet=4, max_length=48):
     return [random_seq(rng, alphabet, max_length) for _ in range(n)]
 
 
+def wide_alphabet_corpus(n, seed):
+    """Lines of 100-400 ids below 200, as in the long-sparse benchmark."""
+    rng = random.Random(seed)
+    return [
+        SymbolSeq(tuple(rng.randrange(200) for _ in range(rng.randint(100, 400))))
+        for _ in range(n)
+    ]
+
+
 def linear_range(corpus, q, r):
     return {
         i for i, s in enumerate(corpus) if distance(q, s, table=TABLE) <= r
@@ -82,8 +91,10 @@ def test_build_is_deterministic(corpus, tree):
     [
         # the criterion 7 corpus: every pivot's distances are packed
         ("acgt", lambda: make_corpus(2_000, seed=77, max_length=64)),
-        # ids of 256 and more: every pivot's distances run per pair
+        # ids of 256 and more: every pivot's distances run through a profile
         ("wide-ids", lambda: make_corpus(300, seed=3, alphabet=1_000)),
+        # long lines, ids below 200: too many distinct symbols to pack
+        ("wide-alphabet", lambda: wide_alphabet_corpus(300, seed=4)),
     ],
 )
 def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path):
@@ -99,6 +110,27 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path):
     assert (tmp_path / "packed.hvpt").read_bytes() == (
         tmp_path / "scalar.hvpt"
     ).read_bytes()
+
+
+def test_profiled_search_equals_the_scalar_search():
+    # too many distinct symbols to pack: auto evaluates each distance
+    # through the query's profile, bitparallel pair by pair
+    corpus = wide_alphabet_corpus(300, seed=4)
+    queries = [corpus[0], corpus[150], *wide_alphabet_corpus(4, seed=9)]
+    wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
+    runs = {}
+    for engine in ("auto", "bitparallel"):
+        t = VpTree.build(corpus, seed=7, table=TABLE, engine=engine)
+        runs[engine] = [
+            [t.knn(q, k) for q in queries] + [t.stats(queries, k=k)] for k in (1, 10)
+        ] + [
+            [t.range_query(q, r) for q in queries] + [t.stats(queries, radius=r)]
+            for r in (0.0, wide)
+        ]
+    assert runs["auto"] == runs["bitparallel"]
+    # radius 0 prunes, and the wide radius finds 31 lines around query 2
+    assert sum(runs["auto"][2][-1].evaluations) < len(queries) * len(corpus)
+    assert len(runs["auto"][3][2]) == 31
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):

@@ -119,9 +119,9 @@ def cmd_matrix(args) -> int:
     cells = [[None] * n for _ in range(n)]
     for i in range(n):
         cells[i][i] = _fmt(0.0, args.precision)
-        for j in range(i + 1, n):
-            value = _fmt(distance(seqs[i], seqs[j], engine=args.engine), args.precision)
-            cells[i][j] = cells[j][i] = value
+        row = distances(seqs[i], seqs[i + 1 :], engine=args.engine)
+        for j, d in enumerate(row, start=i + 1):
+            cells[i][j] = cells[j][i] = _fmt(d, args.precision)
     for row in cells:
         out.write("\t".join(row) + "\n")
     return EXIT_OK

@@ -14,6 +14,10 @@ one, in three forms:
   all of them.  ``lcs_lens`` runs it for ``auto`` when the packing rule
   refuses, and ``metric.distance_profile`` for the vp-tree search.
 
+``lcs_lens`` serves every one-vs-many caller: the knn scan, the vp-tree
+build, and each row of the CLI's ``matrix`` (a line against the lines
+after it).
+
 ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
 always run per pair, and so does ``bitparallel`` when named.  Only
 lengths are ever computed: every quantity the distance needs collapses to

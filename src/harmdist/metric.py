@@ -109,8 +109,9 @@ def distances(
     """``[distance(q, s, table=table, engine=engine) for s in corpus]``,
     bit for bit, with the LCS lengths taken one-vs-many by ``lcs_lens``.
 
-    A string equal to q gets exactly 0.0 from the length formula itself:
-    both harmonic spans are empty.
+    The knn scan, the vp-tree build and each row of the CLI's ``matrix``
+    run through here.  A string equal to q gets exactly 0.0 from the
+    length formula itself: both harmonic spans are empty.
     """
     if table is None:
         table = default_table()

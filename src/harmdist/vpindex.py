@@ -31,7 +31,6 @@ import math
 import random
 import struct
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
 
 try:  # CPython's own SHA-256; hashlib loads OpenSSL, 3.6 MB more resident
@@ -90,12 +89,43 @@ def _digest(seed: int, corpus, body: bytes) -> bytes:
     return h.digest()
 
 
-@dataclass(frozen=True, slots=True)
 class PruningStats:
-    """Distance-evaluation counts for a query batch."""
+    """Distance-evaluation counts for a query batch.
 
-    corpus_size: int
-    evaluations: tuple[int, ...]
+    Immutable; equal, and hashed alike, exactly when both fields are.
+    """
+
+    __slots__ = ("corpus_size", "evaluations")
+
+    def __init__(self, corpus_size: int, evaluations: tuple[int, ...]):
+        _set(self, "corpus_size", corpus_size)
+        _set(self, "evaluations", evaluations)
+
+    def _fields(self) -> tuple[int, tuple[int, ...]]:
+        return self.corpus_size, self.evaluations
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"PruningStats(corpus_size={self.corpus_size!r}, "
+            f"evaluations={self.evaluations!r})"
+        )
+
+    def __reduce__(self):
+        return PruningStats, self._fields()
 
     @property
     def mean_fraction_scanned(self) -> float:
@@ -105,15 +135,55 @@ class PruningStats:
         return total / (len(self.evaluations) * self.corpus_size)
 
 
-@dataclass
+_set = object.__setattr__
+
+# the fields that make two trees equal: table and engine change how a
+# query is computed, never what it returns
+_TREE_FIELDS = ("corpus", "order", "pivots", "radii", "build_seed")
+
+
 class VpTree:
-    corpus: tuple[SymbolSeq, ...]
-    order: array  # 'I': corpus indices, leaf by leaf
-    pivots: array  # 'I': slot _split(lo, hi) holds that node's pivot
-    radii: array  # 'd': slot _split(lo, hi) holds that node's radius
-    build_seed: int
-    table: HarmonicTable = field(compare=False, repr=False)
-    engine: Engine = field(default="auto", compare=False)
+    """A vantage-point tree over ``corpus``; ``build`` or ``load`` one.
+
+    Equal exactly when corpus, ``order``, ``pivots``, ``radii`` and
+    ``build_seed`` are.
+    """
+
+    __slots__ = (*_TREE_FIELDS, "table", "engine")
+
+    def __init__(
+        self,
+        corpus: tuple[SymbolSeq, ...],
+        order: array,  # 'I': corpus indices, leaf by leaf
+        pivots: array,  # 'I': slot _split(lo, hi) holds that node's pivot
+        radii: array,  # 'd': slot _split(lo, hi) holds that node's radius
+        build_seed: int,
+        table: HarmonicTable,
+        engine: Engine = "auto",
+    ):
+        self.corpus = corpus
+        self.order = order
+        self.pivots = pivots
+        self.radii = radii
+        self.build_seed = build_seed
+        self.table = table
+        self.engine = engine
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in _TREE_FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None  # mutable, like the arrays it holds
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in (*_TREE_FIELDS, "engine")
+        )
+        return f"VpTree({fields})"
 
     @classmethod
     def build(

@@ -310,35 +310,36 @@ def test_criterion_9_performance_sanity():
     a, b = rand_pair(rng, 4_096, 4_096, 4)
 
     distance(a, b)  # warm the harmonic table before timing
-    runs = 20
 
-    def paired(fa, fb):
-        # Interleaved ABAB with the collector off: no collection pause
-        # lands in a sample, and each B run is timed right after its A
-        # run, so the host's speed drift hits both runs of a pair alike.
-        # The cost ratio is the median of the per-pair ratios B/A.
+    def paired(fa, fb, runs):
+        # Interleaved with the collector off: no collection pause lands in
+        # a sample, and each pair times A and B back to back, A first in
+        # even pairs and B first in odd ones, so the host's speed drift and
+        # any cost of running second hit both runs of a pair alike.  The
+        # cost ratio is the median of the per-pair ratios B/A.
         ta, tb = [], []
         gc.disable()
         try:
-            for _ in range(runs):
-                t0 = time.perf_counter()
-                fa()
-                t1 = time.perf_counter()
-                fb()
-                t2 = time.perf_counter()
-                ta.append(t1 - t0)
-                tb.append(t2 - t1)
+            for k in range(runs):
+                pair = ((fa, ta), (fb, tb))
+                for f, times in pair if k % 2 == 0 else pair[::-1]:
+                    t0 = time.perf_counter()
+                    f()
+                    times.append(time.perf_counter() - t0)
         finally:
             gc.enable()
         ratio = statistics.median(y / x for x, y in zip(ta, tb))
         return statistics.median(ta), statistics.median(tb), ratio
 
     dp_med, bp_med, bp_per_dp = paired(
-        lambda: lcs_len_dp(a, b), lambda: lcs_len_bitparallel(a, b)
+        lambda: lcs_len_dp(a, b), lambda: lcs_len_bitparallel(a, b), 20
     )
     speedup = 1.0 / bp_per_dp
 
-    _, _, overhead = paired(lambda: lcs_len(a, b), lambda: distance(a, b))
+    # The two costs differ by a few harmonic lookups against about 3 ms of
+    # LCS, and host noise spreads a single pair's ratio by several percent;
+    # the median of 100 pairs keeps that noise well inside the 5 % bound.
+    _, _, overhead = paired(lambda: lcs_len(a, b), lambda: distance(a, b), 100)
 
     ok = speedup >= 5.0 and overhead <= 1.05
     verdict(

@@ -71,6 +71,25 @@ def test_dist_and_knn_load_only_what_they_run(tmp_path):
     assert out(r).splitlines()[-1] == "[]"
 
 
+def test_knn_index_leaves_dataclasses_unloaded(tmp_path):
+    # the first run builds and saves the index, the second loads it
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("acgt\nacca\ngatt\n")
+    index = tmp_path / "corpus.hvpt"
+    probe = (
+        "import sys; from harmdist import cli; "
+        f"assert cli.main(['knn', {str(corpus)!r}, 'acg', '--k', '2', "
+        f"'--index', {str(index)!r}]) == 0; "
+        "print(sorted(m for m in ('harmdist.propcheck', 'fractions', 'numpy', "
+        "'dataclasses') if m in sys.modules))"
+    )
+    for built in (False, True):
+        assert index.exists() == built
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+        assert r.returncode == 0, r.stderr
+        assert out(r).splitlines()[-1] == "[]"
+
+
 def test_every_public_name_resolves():
     probe = (
         "import sys, harmdist; "
@@ -278,6 +297,52 @@ def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path)
     assert (tmp_path / "auto.hvpt").read_bytes() == (
         tmp_path / "huntszymanski.hvpt"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "lines, mode",
+    [
+        (_acgt_lines(2_000, 1)[:150], "codepoints"),
+        (_word_lines(400, 2), "words"),
+        (_wide_lines(400, 3), "codepoints"),
+    ],
+    ids=["acgt-150", "words-600", "wide-400"],
+)
+def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    auto, oracle = (
+        run("matrix", str(corpus), "--mode", mode, "--engine", engine)
+        for engine in ("auto", "huntszymanski")
+    )
+    assert auto.returncode == oracle.returncode == 0
+    assert auto.stdout == oracle.stdout
+    assert len(auto.stdout.splitlines()) == len(lines) + 1
+
+
+@pytest.mark.parametrize(
+    "lines, engine, packed, profiled",
+    [
+        (_acgt_lines(12, 5), "auto", [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1], []),
+        (_wide_lines(12, 6), "auto", [], [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]),
+        (_acgt_lines(12, 5), "bitparallel", [], []),
+        (_wide_lines(12, 6), "huntszymanski", [], []),
+    ],
+    ids=["acgt-auto", "wide-auto", "acgt-bitparallel", "wide-huntszymanski"],
+)
+def test_matrix_takes_each_row_in_one_call(
+    lines, engine, packed, profiled, packed_calls, profile_calls, tmp_path, capsys
+):
+    # row i measures line i against the lines after it: packed lanes when
+    # the row packs, the row's profile when not, and pair by pair under a
+    # named engine
+    from harmdist import cli
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    assert cli.main(["matrix", str(corpus), "--engine", engine]) == 0
+    assert (packed_calls, profile_calls) == (packed, profiled)
+    assert len(capsys.readouterr().out.splitlines()) == len(lines) + 1
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):

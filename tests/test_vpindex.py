@@ -281,6 +281,23 @@ def test_save_load_roundtrip(tmp_path, corpus, tree):
     assert loaded.knn(q, 5) == tree.knn(q, 5)
 
 
+def test_trees_and_stats_compare_by_value(tmp_path, corpus, tree):
+    # a tree equals another over the same corpus, arrays and seed, whatever
+    # table and engine it computes with; stats are immutable values
+    path = tmp_path / "corpus.hvpt"
+    tree.save(path)
+    assert VpTree.load(path, corpus, engine="huntszymanski") == tree
+    assert VpTree.build(corpus, seed=8, table=TABLE) != tree
+    with pytest.raises(TypeError):
+        hash(tree)
+    stats = tree.stats(corpus[:3], k=2)
+    assert stats == tree.stats(corpus[:3], k=2) != tree.stats(corpus[:2], k=2)
+    assert hash(stats) == hash(tree.stats(corpus[:3], k=2))
+    assert repr(stats) == f"PruningStats(corpus_size=300, evaluations={stats.evaluations})"
+    with pytest.raises(AttributeError):
+        stats.corpus_size = 1
+
+
 def test_load_rejects_bad_magic(tmp_path, corpus):
     path = tmp_path / "bad.hvpt"
     path.write_bytes(b"NOPE" + bytes(30))

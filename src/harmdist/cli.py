@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import CapacityError, IndexFormatError
 from .harmonic import default_table
 from .lcs import ENGINES, Interner, SymbolSeq
-from .metric import distance, distances
+from .metric import distance, distance_rows, distances
 
 # The planted-bug fixtures of ``propcheck.FIXTURES``, named here so that
 # building the parser does not import ``propcheck``.
@@ -113,17 +113,16 @@ def cmd_matrix(args) -> int:
     lines = _read_lines(args.input, args.mode)
     interner = Interner()
     seqs = [_line_seq(line, args.mode, interner) for line in lines]
-    n = len(seqs)
+    rows = distance_rows(seqs, engine=args.engine)
+    precision = args.precision
     out = sys.stdout
-    out.write("\t".join(str(i) for i in range(n)) + "\n")
-    cells = [[None] * n for _ in range(n)]
-    for i in range(n):
-        cells[i][i] = _fmt(0.0, args.precision)
-        row = distances(seqs[i], seqs[i + 1 :], engine=args.engine)
-        for j, d in enumerate(row, start=i + 1):
-            cells[i][j] = cells[j][i] = _fmt(d, args.precision)
-    for row in cells:
-        out.write("\t".join(row) + "\n")
+    out.write("\t".join(str(i) for i in range(len(seqs))) + "\n")
+    for i, row in enumerate(rows):
+        # cell (i, j) below the diagonal is cell (j, i) of the earlier row j
+        cells = [_fmt(rows[j][i - j - 1], precision) for j in range(i)]
+        cells.append(_fmt(0.0, precision))
+        cells += [_fmt(d, precision) for d in row]
+        out.write("\t".join(cells) + "\n")
     return EXIT_OK
 
 

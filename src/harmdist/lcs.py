@@ -2,21 +2,27 @@
 
 Several engines share one contract (the exact LCS length).  The
 bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
-one, in three forms:
+one, in four forms:
 
 * scalar, ``lcs_len_bitparallel(a, b)``: one pair, the shorter input
   along the bits of one integer; ``lcs_len`` runs it for ``auto``;
 * packed, inside ``lcs_lens(q, corpus)``: one query against many strings,
   each corpus string one lane of a single packed integer, so one row
   update per query symbol advances every pair at once;
+* rows, ``lcs_rows(seqs)``: every line of a slice against the lines
+  after it, for the CLI's ``matrix``.  The slice is packed once and its
+  columns cut into blocks of consecutive lanes; each symbol's mask over a
+  block is built once and shared by every row that reaches the block, and
+  a row's ``full`` alone selects the lanes after its own line;
 * profile, ``lcs_profile(q)``: one query against many strings, one string
   at a time, with q along the bits and its match masks built once for
   all of them.  ``lcs_lens`` runs it for ``auto`` when the packing rule
-  refuses, and ``metric.distance_profile`` for the vp-tree search.
+  refuses, ``lcs_rows`` for each row when an id is 256 or more, and
+  ``metric.distance_profile`` for the vp-tree search.
 
-``lcs_lens`` serves every one-vs-many caller: the knn scan, the vp-tree
-build, and each row of the CLI's ``matrix`` (a line against the lines
-after it).
+The packed and row forms share one kernel: the mask builder, the row
+update and the lane decode.  ``lcs_lens`` serves every one-vs-many
+caller but ``matrix``: the knn scan and the vp-tree build.
 
 ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
 always run per pair, and so does ``bitparallel`` when named.  Only
@@ -27,26 +33,36 @@ scalar bit-parallel engine one match mask per distinct symbol of the
 shorter input, and Hunt-Szymanski occurrence lists over all of ``b``
 plus at most min(|a|, |b|) tails.
 
-Packing rule.  ``lcs_lens`` packs only for ``auto``, only when every id,
-in the query and in the corpus, is below 256 (a lane is built from the
-ids as bytes), and only while the masks it holds at once, one per
-distinct query symbol at one bit per corpus symbol plus byte-aligned
-guard bits, take no more bytes than the corpus's own ids (8 bytes per
-symbol).  Otherwise it runs q's profile over every string.  Each packed
-mask costs a pass over the packed corpus, so the rule keeps packing to
-few distinct query symbols.  Measured on a 2-core x86-64 machine as the
-median of 61 alternating pairs, lane building included, packed time over
-profile time was 0.50 for a 36-symbol query with 4 distinct symbols
-against 2,000 lines of 8-64 ``acgt`` symbols, and 0.64, 0.73 and 0.93
-at 14, 20 and 30 distinct symbols.  Against 400 lines of 100-400
-symbols over an alphabet of 200, a 250-symbol query (146 distinct) took
-2.98 times as long packed; the rule refuses it.  The rule still admits a
-short query with a few dozen distinct symbols against such long lines,
-where packing is slower (1.80 at 37 distinct of 40).  Memory favours the
-profile: its masks take |q| bits each, and the peak of traced Python
-allocations during a call was at most 0.02 MB at every point above,
-against 0.89 MB packed on the short lines and 1.32 and 2.86 MB on the
-long ones.
+Packing rule.  Both packed forms pack only for ``auto`` and only when
+every id is below 256 (a lane is built from the ids as bytes), and both
+bound the masks they hold at once, one per distinct symbol at one bit
+per packed symbol plus byte-aligned guard bits, by the bytes of the
+packed strings' own ids (8 bytes per symbol).  ``lcs_lens`` packs only
+while the query's masks over the whole corpus fit; otherwise it runs q's
+profile over every string.  ``lcs_rows`` always packs: it sizes each
+column block so that the masks of the block's distinct symbols fit the
+budget of the whole slice, and holds one block's masks at a time (a block
+holds at least one line).  On the benchmark's 150-line long-sparse slice
+(200 symbols) the masks over all lanes would take 933 kB against a
+293 kB budget, and the slice is cut into four blocks; its 120-line
+short-dense slice (4 symbols) is one block.  A fresh ``matrix`` over the
+long-sparse slice took 0.24 s with the row form against 0.57 s with a
+profile per row (2-core x86-64 machine, medians of 8 alternating pairs).
+
+Each packed mask costs a pass over the packed corpus, so the one-query
+rule keeps packing to few distinct query symbols.  Measured on a 2-core
+x86-64 machine as the median of 61 alternating pairs, lane building
+included, packed time over profile time was 0.50 for a 36-symbol query
+with 4 distinct symbols against 2,000 lines of 8-64 ``acgt`` symbols,
+and 0.64, 0.73 and 0.93 at 14, 20 and 30 distinct symbols.  Against 400
+lines of 100-400 symbols over an alphabet of 200, a 250-symbol query
+(146 distinct) took 2.98 times as long packed; the rule refuses it.  The
+rule still admits a short query with a few dozen distinct symbols
+against such long lines, where packing is slower (1.80 at 37 distinct of
+40).  Memory favours the profile: its masks take |q| bits each, and the
+peak of traced Python allocations during a call was at most 0.02 MB at
+every point above, against 0.89 MB packed on the short lines and 1.32
+and 2.86 MB on the long ones.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -329,6 +345,34 @@ def lcs_lens(
     return [lcs_len(q, s, engine) for s in corpus]
 
 
+def lcs_rows(seqs: Sequence[SymbolSeq], engine: Engine = "auto") -> list[list[int]]:
+    """The upper triangle of the LCS-length matrix of seqs: row i is
+    ``lcs_lens(seqs[i], seqs[i + 1:], engine)``, for every i, so the last
+    row is empty.
+
+    For ``auto`` with every id below 256 this is the row form of the
+    packed engine (see the module docstring): each symbol's mask is built
+    once per column block and shared by every row that reaches the block.
+    ``auto`` with an id of 256 or more runs each row's profile
+    (``lcs_profile``) over the lines after it; every other engine runs
+    per pair.  Whichever form runs, each length equals
+    ``lcs_len(seqs[i], seqs[j], engine)``.
+    """
+    if engine != "auto":
+        return [
+            [lcs_len(q, s, engine) for s in seqs[i + 1 :]] for i, q in enumerate(seqs)
+        ]
+    try:
+        lanes = [_lane(s) for s in seqs]
+    except ValueError:  # an id of 256 or more
+        # no profile for the last row, which meets no line
+        return [
+            list(map(lcs_profile(q), seqs[i + 1 :])) if i + 1 < len(seqs) else []
+            for i, q in enumerate(seqs)
+        ]
+    return _lcs_rows_packed(seqs, lanes)
+
+
 def _lane(s: SymbolSeq) -> bytes:
     """The lane of s in the packed text, most significant bit first: one
     to eight zero pad bytes (the guard bits), then the ids last to first.
@@ -349,6 +393,16 @@ _BYTE_IDS = frozenset(range(256))
 _ZEROS = b"0" * 256
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
+# The packed text.  Lane j spans widths[j] bytes and holds string j in its
+# low lengths[j] bits; the first lane is the most significant.  The text
+# of the lanes has one byte per bit, so translating it to ASCII digits
+# gives the match mask of one symbol over every lane at once.  A mask may
+# have guard bits set (pad bytes are zero, like symbol 0), but the row's
+# guard bits stay clear, so u never has them: a carry out of a lane stops
+# in its first guard bit and is masked off by ``full``.  Lanes that
+# ``full`` clears stay clear in the row, so ``full`` alone selects which
+# lanes a row update advances.
+
 
 def _lcs_lens_packed(
     qids: tuple[int, ...],
@@ -357,30 +411,74 @@ def _lcs_lens_packed(
     widths: list[int],
     lanes: bytes,
 ) -> list[int]:
-    # Lane j spans widths[j] bytes and holds string j in its low
-    # lengths[j] bits; lane 0 is the most significant.  The text ``lanes``
-    # has one byte per bit, so translating it to ASCII digits gives the
-    # match mask of one symbol over every lane at once.  A mask may have
-    # guard bits set (pad bytes are zero, like symbol 0), but the row's
-    # guard bits stay clear, so u never has them: a carry out of a lane
-    # stops in its first guard bit and is masked off.
+    full = _packed_full(lengths, widths)
+    row = _packed_advance(qids, _packed_masks(lanes, symbols), full)
+    return _packed_decode(row, full, widths)
+
+
+def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list[int]]:
+    # Columns are cut into blocks of consecutive lines, each as large as
+    # the budget allows: its masks, one per distinct symbol at its lanes'
+    # bytes, take no more bytes than the ids of the whole slice (8 bytes a
+    # symbol), as in the packing rule.  A block holds at least one line.
+    # Row i runs against every block that holds a line after i, with the
+    # block's lanes up to line i cleared from ``full``.
+    lengths = [len(s.ids) for s in seqs]
+    widths = [len(lane) // 8 for lane in lanes]
+    budget = 8 * sum(lengths)
+    rows: list[list[int]] = [[] for _ in seqs]
+    lo, n = 0, len(seqs)
+    while lo < n:
+        symbols, held, hi = set(seqs[lo].ids), widths[lo], lo + 1
+        while hi < n:
+            grown = symbols.union(seqs[hi].ids)
+            if len(grown) * (held + widths[hi]) > budget:
+                break
+            symbols, held, hi = grown, held + widths[hi], hi + 1
+        peq = _packed_masks(b"".join(lanes[lo:hi]), symbols)
+        full = _packed_full(lengths[lo:hi], widths[lo:hi])
+        for i in range(hi - 1):
+            ws = widths[max(i + 1, lo) : hi]
+            part = full & ((1 << 8 * sum(ws)) - 1)
+            rows[i] += _packed_decode(_packed_advance(seqs[i].ids, peq, part), part, ws)
+        del peq  # before the next block's masks are built
+        lo = hi
+    return rows
+
+
+def _packed_masks(lanes: bytes, symbols: Iterable[int]) -> dict[int, int]:
+    """The match mask over the packed text ``lanes`` of each symbol that
+    occurs in it, one pass over the text a symbol."""
     peq = {}
     for s in symbols:
         mask = int(lanes.translate(_ZEROS[:s] + b"1" + _ZEROS[s + 1 :]), 2)
         if mask:
             peq[s] = mask
-    full = int.from_bytes(
+    return peq
+
+
+def _packed_full(lengths: list[int], widths: list[int]) -> int:
+    """The string bits of every lane set, its guard bits clear."""
+    return int.from_bytes(
         b"".join([((1 << n) - 1).to_bytes(w, "big") for n, w in zip(lengths, widths)]),
         "big",
     )
+
+
+def _packed_advance(qids: tuple[int, ...], peq: dict[int, int], full: int) -> int:
+    """The row after one update per symbol of q with a mask in peq,
+    every lane that ``full`` selects at once."""
     row = full
-    for s in qids:
-        mask = peq.get(s)
-        if mask:
-            u = row & mask
-            row = ((row + u) | (row - u)) & full
-    # a lane's LCS is the number of its string bits cleared in the row
-    matched = (row ^ full).to_bytes(len(lanes) // 8, "big").translate(_POPCOUNT)
+    for mask in filter(None, map(peq.get, qids)):
+        u = row & mask
+        row = ((row + u) | (row - u)) & full
+    return row
+
+
+def _packed_decode(row: int, full: int, widths: list[int]) -> list[int]:
+    """Each lane's LCS: the number of its string bits cleared in the row,
+    for the lanes of the low sum(widths) bytes."""
+    matched = (row ^ full).to_bytes(sum(widths), "big").translate(_POPCOUNT)
     cum = [0, *accumulate(matched)]
     return [cum[end] - cum[end - w] for w, end in zip(widths, accumulate(widths))]
 

@@ -18,12 +18,21 @@ All functions are pure; a shared HarmonicTable may be used concurrently.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTable
-from .lcs import Engine, SymbolSeq, is_subsequence, lcs_len, lcs_lens, lcs_profile
+from .lcs import (
+    Engine,
+    SymbolSeq,
+    is_subsequence,
+    lcs_len,
+    lcs_lens,
+    lcs_profile,
+    lcs_rows,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -109,9 +118,10 @@ def distances(
     """``[distance(q, s, table=table, engine=engine) for s in corpus]``,
     bit for bit, with the LCS lengths taken one-vs-many by ``lcs_lens``.
 
-    The knn scan, the vp-tree build and each row of the CLI's ``matrix``
-    run through here.  A string equal to q gets exactly 0.0 from the
-    length formula itself: both harmonic spans are empty.
+    The knn scan and the vp-tree build run through here; the CLI's
+    ``matrix`` runs through ``distance_rows``.  A string equal to q gets
+    exactly 0.0 from the length formula itself: both harmonic spans are
+    empty.
     """
     if table is None:
         table = default_table()
@@ -119,6 +129,32 @@ def distances(
     return [
         _distance_from_lengths(la, len(s.ids), lcs, table)
         for s, lcs in zip(corpus, lcs_lens(q, corpus, engine))
+    ]
+
+
+def distance_rows(
+    seqs: Sequence[SymbolSeq],
+    *,
+    table: HarmonicTable | None = None,
+    engine: Engine = "auto",
+) -> list[array]:
+    """The upper triangle of the distance matrix of seqs: row i is
+    ``distances(seqs[i], seqs[i + 1:], table=table, engine=engine)``, bit
+    for bit, as an ``array('d')``, with the LCS lengths of every row taken
+    at once by ``lcs_rows``.  The last row is empty.
+    """
+    if table is None:
+        table = default_table()
+    lens = [len(s.ids) for s in seqs]
+    return [
+        array(
+            "d",
+            [
+                _distance_from_lengths(la, lb, lcs, table)
+                for lb, lcs in zip(lens[i + 1 :], row)
+            ],
+        )
+        for i, (la, row) in enumerate(zip(lens, lcs_rows(seqs, engine)))
     ]
 
 

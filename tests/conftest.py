@@ -1,6 +1,6 @@
 """Let the harmdist processes that tests start import this checkout's src/,
 as the tests themselves do through ``pythonpath`` in pyproject.toml, and
-spy on the one-vs-many forms of the LCS engine."""
+spy on the one-vs-many and row forms of the LCS engine."""
 
 import importlib
 import os
@@ -18,7 +18,8 @@ lcs_mod = importlib.import_module("harmdist.lcs")
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """Record each run of the packed form, by its number of lanes."""
+    """Record each one-query run of the packed form, by its number of
+    lanes."""
     calls = []
     real = lcs_mod._lcs_lens_packed
 
@@ -31,9 +32,28 @@ def packed_calls(monkeypatch):
 
 
 @pytest.fixture
+def mask_calls(monkeypatch):
+    """Record each set of packed masks built, one-query or for a column
+    block of rows: the packed text, the symbols asked for, and the bytes
+    the masks built hold."""
+    calls = []
+    real = lcs_mod._packed_masks
+
+    def spy(lanes, symbols):
+        symbols = list(symbols)
+        peq = real(lanes, symbols)
+        held = sum((mask.bit_length() + 7) // 8 for mask in peq.values())
+        calls.append((lanes, symbols, held))
+        return peq
+
+    monkeypatch.setattr(lcs_mod, "_packed_masks", spy)
+    return calls
+
+
+@pytest.fixture
 def profile_calls(monkeypatch):
-    """Record each profile ``lcs_lens`` builds, by the number of strings
-    it then measures."""
+    """Record each profile ``lcs_lens`` or ``lcs_rows`` builds, by the
+    number of strings it then measures."""
     calls = []
     real = lcs_mod.lcs_profile
 

@@ -270,6 +270,17 @@ def _wide_lines(n, seed):
     ]
 
 
+def _sparse_lines(n, seed):
+    # 200 code points and 100-400 of them a line, as in the benchmark's
+    # long-sparse corpus: ids stay below 256, but a row has too many
+    # distinct symbols for the one-query packing rule
+    rng = random.Random(seed)
+    return [
+        "".join(chr(0x100 + rng.randrange(200)) for _ in range(rng.randint(100, 400)))
+        for _ in range(n)
+    ]
+
+
 @pytest.mark.parametrize(
     "lines, mode, query",
     [
@@ -305,8 +316,9 @@ def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path)
         (_acgt_lines(2_000, 1)[:150], "codepoints"),
         (_word_lines(400, 2), "words"),
         (_wide_lines(400, 3), "codepoints"),
+        (_sparse_lines(150, 8), "codepoints"),
     ],
-    ids=["acgt-150", "words-600", "wide-400"],
+    ids=["acgt-150", "words-600", "wide-400", "sparse-150"],
 )
 def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
     corpus = tmp_path / "corpus.txt"
@@ -321,28 +333,53 @@ def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lines, engine, packed, profiled",
+    "lines, engine, blocks",
     [
-        (_acgt_lines(12, 5), "auto", [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1], []),
-        (_wide_lines(12, 6), "auto", [], [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]),
-        (_acgt_lines(12, 5), "bitparallel", [], []),
-        (_wide_lines(12, 6), "huntszymanski", [], []),
+        (_acgt_lines(12, 5), "auto", 1),
+        (_sparse_lines(40, 9), "auto", 4),
+        (_wide_lines(12, 6), "auto", 0),
+        (_acgt_lines(12, 5), "bitparallel", 0),
+        (_wide_lines(12, 6), "huntszymanski", 0),
     ],
-    ids=["acgt-auto", "wide-auto", "acgt-bitparallel", "wide-huntszymanski"],
+    ids=[
+        "acgt-auto",
+        "sparse-auto",
+        "wide-auto",
+        "acgt-bitparallel",
+        "wide-huntszymanski",
+    ],
 )
 def test_matrix_takes_each_row_in_one_call(
-    lines, engine, packed, profiled, packed_calls, profile_calls, tmp_path, capsys
+    lines, engine, blocks, mask_calls, packed_calls, profile_calls, tmp_path, capsys
 ):
-    # row i measures line i against the lines after it: packed lanes when
-    # the row packs, the row's profile when not, and pair by pair under a
-    # named engine
+    # With ids below 256, auto packs the slice once and builds each
+    # symbol's mask once per column block, for every row that reaches the
+    # block; with an id of 256 or more each row runs its profile over the
+    # lines after it; a named engine runs pair by pair.
     from harmdist import cli
+    from harmdist.lcs import _lane
 
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("\n".join(lines) + "\n")
     assert cli.main(["matrix", str(corpus), "--engine", engine]) == 0
-    assert (packed_calls, profile_calls) == (packed, profiled)
     assert len(capsys.readouterr().out.splitlines()) == len(lines) + 1
+    assert packed_calls == []
+    seqs = interned(lines)
+    wide = engine == "auto" and any(i > 255 for s in seqs for i in s.ids)
+    assert profile_calls == (list(range(len(lines) - 1, 0, -1)) if wide else [])
+    assert len(mask_calls) == blocks
+    # the blocks tile the slice in order, and each holds one mask for
+    # each of its symbols, within the budget of 8 bytes a symbol
+    lo = 0
+    for text, symbols, held in mask_calls:
+        hi = lo + 1
+        while len(b"".join(map(_lane, seqs[lo:hi]))) < len(text):
+            hi += 1
+        assert text == b"".join(map(_lane, seqs[lo:hi]))
+        assert sorted(symbols) == sorted(set().union(*(s.ids for s in seqs[lo:hi])))
+        assert held <= 8 * sum(map(len, seqs))
+        lo = hi
+    assert lo == (len(seqs) if blocks else 0)
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):

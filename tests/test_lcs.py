@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmdist import (
@@ -297,6 +297,64 @@ def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls, profile_call
 @settings(max_examples=300, deadline=None)
 def test_lcs_lens_matches_scalar_on_random_corpora(q, corpus):
     assert lcs_lens(q, corpus) == scalar_lens(q, corpus)
+
+
+# -- the row form -------------------------------------------------------------
+
+
+def _long_lines(n, seed, alphabet=200):
+    # long lines over a wide alphabet: the row form splits them into
+    # several column blocks
+    rng = random.Random(seed)
+    return [
+        SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(rng.randint(100, 300))))
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def slices(draw):
+    # drawn lists of hundreds of ids overrun hypothesis's buffer, so the
+    # lines come from a drawn seed
+    alphabet = draw(st.one_of(st.integers(1, 255), st.integers(257, 400)))
+    longest = draw(st.sampled_from([0, 8, 64, 300]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = [
+        SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(rng.randint(0, longest))))
+        for _ in range(draw(st.integers(0, 40)))
+    ]
+    repeats = draw(st.lists(st.sampled_from(lines), max_size=5)) if lines else []
+    return draw(st.permutations(lines + repeats))
+
+
+@given(seqs=slices())
+@example(seqs=[])
+@example(seqs=[seq("")])
+@example(seqs=[seq("gattaca")])
+@example(seqs=[seq(""), seq("acgt"), seq(""), seq("acgt"), seq("t"), seq("")])
+@example(seqs=_long_lines(40, 9))
+@example(seqs=_long_lines(30, 4) + _long_lines(2, 4) + [SymbolSeq((256, 3))])
+@settings(max_examples=300, deadline=None)
+def test_lcs_rows_match_scalar_pair_by_pair(seqs):
+    rows = lcs_mod.lcs_rows(seqs)
+    assert len(rows) == len(seqs)
+    for i, row in enumerate(rows):
+        assert row == scalar_lens(seqs[i], seqs[i + 1 :])
+
+
+def test_lcs_rows_of_long_lines_build_masks_per_column_block(mask_calls):
+    seqs = _long_lines(40, 9)
+    lcs_mod.lcs_rows(seqs)
+    assert len(mask_calls) == 4
+    assert max(held for _, _, held in mask_calls) <= 8 * sum(map(len, seqs))
+
+
+@pytest.mark.parametrize("engine", ["dp", "bitparallel", "huntszymanski"])
+def test_lcs_rows_run_named_engines_per_pair(engine, mask_calls, profile_calls):
+    seqs = [seq("acgt"), seq("gatc"), seq(""), SymbolSeq((2, 300, 1))]
+    rows = lcs_mod.lcs_rows(seqs, engine)
+    assert rows == [[2, 0, 0], [0, 0], [0], []]
+    assert mask_calls == profile_calls == []
 
 
 # -- the query profile --------------------------------------------------------

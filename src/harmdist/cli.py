@@ -308,6 +308,10 @@ def _validate(args, parser: argparse.ArgumentParser) -> None:
         parser.error("--k must be positive")
     if getattr(args, "samples", 0) < 0:
         parser.error("--samples must be nonnegative")
+    if getattr(args, "alphabet", 1) < 1:
+        parser.error("--alphabet must be positive")
+    if getattr(args, "maxlen", 0) < 0:
+        parser.error("--maxlen must be nonnegative")
 
 
 def main(argv=None) -> int:

@@ -2,27 +2,28 @@
 
 Several engines share one contract (the exact LCS length).  The
 bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
-one, in four forms:
+one.  One row update, ``_advance``, serves it in two forms:
 
-* scalar, ``lcs_len_bitparallel(a, b)``: one pair, the shorter input
-  along the bits of one integer; ``lcs_len`` runs it for ``auto``;
-* packed, inside ``lcs_lens(q, corpus)``: one query against many strings,
-  each corpus string one lane of a single packed integer, so one row
-  update per query symbol advances every pair at once;
-* rows, ``lcs_rows(seqs)``: every line of a slice against the lines
-  after it, for the CLI's ``matrix``.  The slice is packed once and its
-  columns cut into blocks of consecutive lanes; each symbol's mask over a
-  block is built once and shared by every row that reaches the block, and
-  a row's ``full`` alone selects the lanes after its own line;
-* profile, ``lcs_profile(q)``: one query against many strings, one string
-  at a time, with q along the bits and its match masks built once for
-  all of them.  ``lcs_lens`` runs it for ``auto`` when the packing rule
-  refuses, ``lcs_rows`` for each row when an id is 256 or more, and
-  ``metric.distance_profile`` for the vp-tree search.
+* scalar or profile: one string along the bits of one integer, with its
+  match masks built once.  ``lcs_len_bitparallel(a, b)`` lays the
+  shorter input along the bits and advances it over the longer one;
+  ``lcs_len`` runs it for ``auto``.  ``lcs_profile(q)`` lays q along the
+  bits once for every string it then meets; ``lcs_lens`` runs it for
+  ``auto`` when the packing rule refuses, and
+  ``metric.distance_profile`` for the vp-tree search;
+* packed: many strings, each one lane of a single packed integer, so one
+  row update per query symbol advances every pair at once.  It has two
+  callers.  ``lcs_lens(q, corpus)`` takes one query against many
+  strings, for the knn scan and the vp-tree build.  ``lcs_rows(seqs)``
+  takes every line of a slice against the lines after it, for the CLI's
+  ``matrix``: the slice is packed once and its columns cut into blocks
+  of consecutive lanes; each symbol's mask over a block is built once and
+  shared by every row that reaches the block, and a row's ``full`` alone
+  selects the lanes after its own line.  A slice that the row caller does
+  not pack goes row by row to ``lcs_lens``.
 
-The packed and row forms share one kernel: the mask builder, the row
-update and the lane decode.  ``lcs_lens`` serves every one-vs-many
-caller but ``matrix``: the knn scan and the vp-tree build.
+Both packed callers share one kernel: the mask builder, the row update
+and the lane decode.
 
 ``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
 always run per pair, and so does ``bitparallel`` when named.  Only
@@ -33,21 +34,22 @@ scalar bit-parallel engine one match mask per distinct symbol of the
 shorter input, and Hunt-Szymanski occurrence lists over all of ``b``
 plus at most min(|a|, |b|) tails.
 
-Packing rule.  Both packed forms pack only for ``auto`` and only when
+Packing rule.  Both packed callers pack only for ``auto`` and only when
 every id is below 256 (a lane is built from the ids as bytes), and both
 bound the masks they hold at once, one per distinct symbol at one bit
 per packed symbol plus byte-aligned guard bits, by the bytes of the
 packed strings' own ids (8 bytes per symbol).  ``lcs_lens`` packs only
 while the query's masks over the whole corpus fit; otherwise it runs q's
-profile over every string.  ``lcs_rows`` always packs: it sizes each
-column block so that the masks of the block's distinct symbols fit the
-budget of the whole slice, and holds one block's masks at a time (a block
-holds at least one line).  On the benchmark's 150-line long-sparse slice
-(200 symbols) the masks over all lanes would take 933 kB against a
-293 kB budget, and the slice is cut into four blocks; its 120-line
-short-dense slice (4 symbols) is one block.  A fresh ``matrix`` over the
-long-sparse slice took 0.24 s with the row form against 0.57 s with a
-profile per row (2-core x86-64 machine, medians of 8 alternating pairs).
+profile over every string.  ``lcs_rows`` packs whenever those two
+conditions hold: it sizes each column block so that the masks of the
+block's distinct symbols fit the budget of the whole slice, and holds one
+block's masks at a time (a block holds at least one line).  On the
+benchmark's 150-line long-sparse slice (200 symbols) the masks over all
+lanes would take 933 kB against a 293 kB budget, and the slice is cut
+into four blocks; its 120-line short-dense slice (4 symbols) is one
+block.  A fresh ``matrix`` over the long-sparse slice took 0.24 s with
+the row form against 0.57 s with a profile per row (2-core x86-64
+machine, medians of 8 alternating pairs).
 
 Each packed mask costs a pass over the packed corpus, so the one-query
 rule keeps packing to few distinct query symbols.  Measured on a 2-core
@@ -185,34 +187,18 @@ def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:
 def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
     """Bit-vector LCS: one row state packed into a single big integer.
 
-    The shorter input is laid out along the bits; per symbol s a match
-    mask marks its positions, all built in one pass over that input.  For
-    each symbol of the longer input the row update is
-
-        u = row & mask;  row = ((row + u) | (row - u)) & full
-
-    where the carry propagation of ``row + u`` performs the per-run merge
-    the classic recurrence does cell by cell.  Python integers chunk the
-    row into machine words internally, so each update costs
+    The shorter input is laid out along the bits, with one match mask per
+    distinct symbol (``_match_masks``), and ``_advance`` runs one row
+    update per symbol of the longer input.  Python integers chunk the row
+    into machine words internally, so each update costs
     O(ceil(min_len / wordsize)) word operations.  Zero bits in the final
     row count matched positions.
     """
     xs, ys = a.ids, b.ids
     if len(xs) > len(ys):
         xs, ys = ys, xs
-    if not xs:
-        return 0
     masks, full = _match_masks(xs)
-    # not lcs_profile(xs)(ys): on one pair its closure and filter cost
-    # more than they save (16.5 against 14.9 us a pair over 120 short acgt
-    # lines, 2-core x86-64)
-    row = full
-    for s in ys:
-        mask = masks.get(s)
-        if mask:
-            u = row & mask
-            row = ((row + u) | (row - u)) & full
-    return len(xs) - row.bit_count()
+    return len(xs) - _advance(ys, masks, full).bit_count()
 
 
 def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
@@ -227,27 +213,35 @@ def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return masks, bit - 1
 
 
+def _advance(ids: Iterable[int], masks: dict[int, int], full: int) -> int:
+    """The row after one update per symbol of ids that has a mask:
+
+        u = row & mask;  row = ((row + u) | (row - u)) & full
+
+    starting from ``full``, where the carry propagation of ``row + u``
+    performs the per-run merge the classic recurrence does cell by cell.
+    The same update serves one string along the bits and every lane of
+    the packed text that ``full`` selects.  Symbols without a mask are
+    dropped by ``filter`` and ``map`` without a Python-level step.
+    """
+    row = full
+    for mask in filter(None, map(masks.get, ids)):
+        u = row & mask
+        row = ((row + u) | (row - u)) & full
+    return row
+
+
 def lcs_profile(q: SymbolSeq) -> Callable[[SymbolSeq], int]:
     """The function s -> |lcs(q, s)|, equal to ``lcs_len(q, s)``.
 
     The query profile of database search (Rognes & Seeberg 2000): q lies
     along the bits, and its match masks and ``full`` are built once, here,
     for every string the function then meets.  Each string costs one row
-    update per symbol it shares with q; its other symbols are dropped by
-    ``filter`` and ``map`` without a Python-level step.
+    update per symbol it shares with q.
     """
     masks, full = _match_masks(q.ids)
     m = len(q.ids)
-    mask_of = masks.get
-
-    def lcs(s: SymbolSeq) -> int:
-        row = full
-        for mask in filter(None, map(mask_of, s.ids)):
-            u = row & mask
-            row = ((row + u) | (row - u)) & full
-        return m - row.bit_count()
-
-    return lcs
+    return lambda s: m - _advance(s.ids, masks, full).bit_count()
 
 
 def lcs_len_hunt_szymanski(a: SymbolSeq, b: SymbolSeq) -> int:
@@ -350,27 +344,20 @@ def lcs_rows(seqs: Sequence[SymbolSeq], engine: Engine = "auto") -> list[list[in
     ``lcs_lens(seqs[i], seqs[i + 1:], engine)``, for every i, so the last
     row is empty.
 
-    For ``auto`` with every id below 256 this is the row form of the
-    packed engine (see the module docstring): each symbol's mask is built
+    For ``auto`` with every id below 256 this is the row caller of the
+    packed form (see the module docstring): each symbol's mask is built
     once per column block and shared by every row that reaches the block.
-    ``auto`` with an id of 256 or more runs each row's profile
-    (``lcs_profile``) over the lines after it; every other engine runs
-    per pair.  Whichever form runs, each length equals
-    ``lcs_len(seqs[i], seqs[j], engine)``.
+    Any other slice or engine runs ``lcs_lens`` row by row.  Whichever
+    form runs, each length equals ``lcs_len(seqs[i], seqs[j], engine)``.
     """
-    if engine != "auto":
-        return [
-            [lcs_len(q, s, engine) for s in seqs[i + 1 :]] for i, q in enumerate(seqs)
-        ]
-    try:
-        lanes = [_lane(s) for s in seqs]
-    except ValueError:  # an id of 256 or more
-        # no profile for the last row, which meets no line
-        return [
-            list(map(lcs_profile(q), seqs[i + 1 :])) if i + 1 < len(seqs) else []
-            for i, q in enumerate(seqs)
-        ]
-    return _lcs_rows_packed(seqs, lanes)
+    if engine == "auto":
+        try:
+            lanes = [_lane(s) for s in seqs]
+        except ValueError:  # an id of 256 or more
+            pass
+        else:
+            return _lcs_rows_packed(seqs, lanes)
+    return [lcs_lens(q, seqs[i + 1 :], engine) for i, q in enumerate(seqs)]
 
 
 def _lane(s: SymbolSeq) -> bytes:
@@ -412,7 +399,7 @@ def _lcs_lens_packed(
     lanes: bytes,
 ) -> list[int]:
     full = _packed_full(lengths, widths)
-    row = _packed_advance(qids, _packed_masks(lanes, symbols), full)
+    row = _advance(qids, _packed_masks(lanes, symbols), full)
     return _packed_decode(row, full, widths)
 
 
@@ -440,7 +427,7 @@ def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list
         for i in range(hi - 1):
             ws = widths[max(i + 1, lo) : hi]
             part = full & ((1 << 8 * sum(ws)) - 1)
-            rows[i] += _packed_decode(_packed_advance(seqs[i].ids, peq, part), part, ws)
+            rows[i] += _packed_decode(_advance(seqs[i].ids, peq, part), part, ws)
         del peq  # before the next block's masks are built
         lo = hi
     return rows
@@ -463,16 +450,6 @@ def _packed_full(lengths: list[int], widths: list[int]) -> int:
         b"".join([((1 << n) - 1).to_bytes(w, "big") for n, w in zip(lengths, widths)]),
         "big",
     )
-
-
-def _packed_advance(qids: tuple[int, ...], peq: dict[int, int], full: int) -> int:
-    """The row after one update per symbol of q with a mask in peq,
-    every lane that ``full`` selects at once."""
-    row = full
-    for mask in filter(None, map(peq.get, qids)):
-        u = row & mask
-        row = ((row + u) | (row - u)) & full
-    return row
 
 
 def _packed_decode(row: int, full: int, widths: list[int]) -> list[int]:

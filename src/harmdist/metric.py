@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError
 from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTable
@@ -40,51 +40,19 @@ if TYPE_CHECKING:
 #: Exact evaluation is guarded at |a| + |b| <= this (rational blowup).
 EXACT_LENGTH_LIMIT = 10_000
 
-_FIELDS = ("insertion_cost", "deletion_cost", "total")
 
-
-class DistanceBreakdown:
+class DistanceBreakdown(NamedTuple):
     """Insertion and deletion halves of one distance value.
 
     ``insertion_cost`` grows the first string into a shortest common
     supersequence, ``deletion_cost`` shrinks that back to the second;
-    ``total`` is their sum and equals the distance.  Immutable; equal,
-    and hashed alike, exactly when the three fields are.
+    ``total`` is their sum and equals the distance.  An immutable named
+    tuple of the three fields.
     """
 
-    __slots__ = _FIELDS
-
-    def __init__(self, insertion_cost: float, deletion_cost: float, total: float):
-        _set(self, "insertion_cost", insertion_cost)
-        _set(self, "deletion_cost", deletion_cost)
-        _set(self, "total", total)
-
-    def _fields(self) -> tuple[float, float, float]:
-        return self.insertion_cost, self.deletion_cost, self.total
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(_FIELDS, self._fields()))
-        return f"DistanceBreakdown({fields})"
-
-    def __reduce__(self):
-        return DistanceBreakdown, self._fields()
-
-
-_set = object.__setattr__
+    insertion_cost: float
+    deletion_cost: float
+    total: float
 
 
 def distance(
@@ -96,11 +64,11 @@ def distance(
 ) -> float:
     """The harmonic edit distance; zero exactly when a == b.
 
-    Symmetric bit for bit: the LCS length is an exact integer, so swapping
-    a and b only swaps the two summands, and IEEE addition commutes.
+    Zero comes from the length formula itself: for equal strings both
+    harmonic spans are empty, so each summand is exactly 0.0.  Symmetric
+    bit for bit: the LCS length is an exact integer, so swapping a and b
+    only swaps the two summands, and IEEE addition commutes.
     """
-    if a.ids == b.ids:
-        return 0.0
     if table is None:
         table = default_table()
     return _distance_from_lengths(
@@ -194,8 +162,6 @@ def distance_decomposed(
     if table is None:
         table = default_table()
     la, lb = len(a.ids), len(b.ids)
-    if a.ids == b.ids:
-        return DistanceBreakdown(0.0, 0.0, 0.0)
     scs = la + lb - lcs_len(a, b, engine)
     ins = harmonic_diff(table, la, scs)
     dele = harmonic_diff(table, lb, scs)
@@ -231,8 +197,6 @@ def distance_exact(
             f"exact distance is limited to |a| + |b| <= {EXACT_LENGTH_LIMIT}, "
             f"got {la + lb}"
         )
-    if a.ids == b.ids:
-        return harmonic_exact(0)
     return _distance_exact_from_lengths(la, lb, lcs_len(a, b, engine))
 
 

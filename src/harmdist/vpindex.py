@@ -32,6 +32,7 @@ import random
 import struct
 from array import array
 from pathlib import Path
+from typing import NamedTuple
 
 try:  # CPython's own SHA-256; hashlib loads OpenSSL, 3.6 MB more resident
     from _sha2 import sha256  # Python 3.12 and later
@@ -89,43 +90,12 @@ def _digest(seed: int, corpus, body: bytes) -> bytes:
     return h.digest()
 
 
-class PruningStats:
-    """Distance-evaluation counts for a query batch.
+class PruningStats(NamedTuple):
+    """Distance-evaluation counts for a query batch; an immutable named
+    tuple of its two fields."""
 
-    Immutable; equal, and hashed alike, exactly when both fields are.
-    """
-
-    __slots__ = ("corpus_size", "evaluations")
-
-    def __init__(self, corpus_size: int, evaluations: tuple[int, ...]):
-        _set(self, "corpus_size", corpus_size)
-        _set(self, "evaluations", evaluations)
-
-    def _fields(self) -> tuple[int, tuple[int, ...]]:
-        return self.corpus_size, self.evaluations
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"PruningStats(corpus_size={self.corpus_size!r}, "
-            f"evaluations={self.evaluations!r})"
-        )
-
-    def __reduce__(self):
-        return PruningStats, self._fields()
+    corpus_size: int
+    evaluations: tuple[int, ...]
 
     @property
     def mean_fraction_scanned(self) -> float:
@@ -134,8 +104,6 @@ class PruningStats:
         total = sum(self.evaluations)
         return total / (len(self.evaluations) * self.corpus_size)
 
-
-_set = object.__setattr__
 
 # the fields that make two trees equal: table and engine change how a
 # query is computed, never what it returns

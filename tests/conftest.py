@@ -52,8 +52,9 @@ def mask_calls(monkeypatch):
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Record each profile ``lcs_lens`` or ``lcs_rows`` builds, by the
-    number of strings it then measures."""
+    """Record each profile ``lcs_lens`` builds, by the number of strings
+    it then measures; ``lcs_rows`` reaches profiles only through
+    ``lcs_lens``."""
     calls = []
     real = lcs_mod.lcs_profile
 

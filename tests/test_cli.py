@@ -354,8 +354,9 @@ def test_matrix_takes_each_row_in_one_call(
 ):
     # With ids below 256, auto packs the slice once and builds each
     # symbol's mask once per column block, for every row that reaches the
-    # block; with an id of 256 or more each row runs its profile over the
-    # lines after it; a named engine runs pair by pair.
+    # block; with an id of 256 or more each row goes to lcs_lens, which
+    # runs these wide rows' profiles over the lines after them; a named
+    # engine runs pair by pair.
     from harmdist import cli
     from harmdist.lcs import _lane
 
@@ -542,6 +543,24 @@ def test_check_fixture_exits_three_with_counterexample():
 def test_check_infeasible_universe():
     r = run("check", "--exhaustive", "--alphabet", "26", "--maxlen", "4")
     assert r.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--alphabet", "0"),
+        ("check", "--maxlen", "-1"),
+        ("check", "--random", "--alphabet", "0"),
+        ("check", "--random", "--maxlen", "-1"),
+    ],
+    ids=["alphabet-0", "maxlen-minus-1", "random-alphabet-0", "random-maxlen-minus-1"],
+)
+def test_check_out_of_range_universe_is_a_usage_error(argv):
+    r = run(*argv)
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert b"Traceback" not in r.stderr
+    assert b"must be" in r.stderr
 
 
 def test_check_is_deterministic():

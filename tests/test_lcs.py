@@ -334,6 +334,10 @@ def slices(draw):
 @example(seqs=[seq(""), seq("acgt"), seq(""), seq("acgt"), seq("t"), seq("")])
 @example(seqs=_long_lines(40, 9))
 @example(seqs=_long_lines(30, 4) + _long_lines(2, 4) + [SymbolSeq((256, 3))])
+@example(  # the only wide id in the first line: later rows pack or profile
+    seqs=[SymbolSeq((256, 0, 1)), seq("acgt" * 3), seq("gattaca"), seq("")]
+    + _long_lines(4, 7)
+)
 @settings(max_examples=300, deadline=None)
 def test_lcs_rows_match_scalar_pair_by_pair(seqs):
     rows = lcs_mod.lcs_rows(seqs)

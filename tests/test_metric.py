@@ -32,9 +32,17 @@ def d(a, b):
 
 
 def test_zero_on_equal_strings():
-    assert d(seq("abc"), seq("abc")) == 0.0
-    assert d(seq(""), seq("")) == 0.0
-    assert distance_exact(seq("abc"), seq("abc")) == Fraction(0)
+    # the length formula alone gives zero: both harmonic spans are empty
+    rng = random.Random(5)
+    long = SymbolSeq(tuple(rng.randrange(4) for _ in range(5_000)))
+    wide = SymbolSeq((256, 1, 70_000, 256, 2**40))
+    for a in (seq("abc"), seq(""), long, wide):
+        same = SymbolSeq(a.ids)
+        assert d(a, same) == 0.0 and math.copysign(1.0, d(a, same)) == 1.0
+        assert distance_decomposed(a, same, table=TABLE) == DistanceBreakdown(
+            0.0, 0.0, 0.0
+        )
+        assert distance_exact(a, same) == Fraction(0)
 
 
 def test_empty_versus_b_is_harmonic_of_length():

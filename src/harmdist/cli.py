@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import CapacityError, IndexFormatError
 from .harmonic import default_table
-from .lcs import ENGINES, Interner, SymbolSeq
+from .lcs import Interner, SymbolSeq
 from .metric import distance, distance_rows, distances
 
 # The planted-bug fixtures of ``propcheck.FIXTURES``, named here so that
@@ -105,7 +105,7 @@ def cmd_dist(args) -> int:
     interner = Interner()
     a = interner.seq(_tokens(args.a, args.mode))
     b = interner.seq(_tokens(args.b, args.mode))
-    print(_fmt(distance(a, b, engine=args.engine), args.precision))
+    print(_fmt(distance(a, b), args.precision))
     return EXIT_OK
 
 
@@ -113,7 +113,7 @@ def cmd_matrix(args) -> int:
     lines = _read_lines(args.input, args.mode)
     interner = Interner()
     seqs = [_line_seq(line, args.mode, interner) for line in lines]
-    rows = distance_rows(seqs, engine=args.engine)
+    rows = distance_rows(seqs)
     precision = args.precision
     out = sys.stdout
     out.write("\t".join(str(i) for i in range(len(seqs))) + "\n")
@@ -133,19 +133,18 @@ def cmd_knn(args) -> int:
     interner = Interner()
     seqs = [_line_seq(line, args.mode, interner) for line in lines]
     query = interner.seq(_tokens(args.query, args.mode))
-    seed = args.seed if args.seed is not None else 0
 
     if args.index:
         from .vpindex import VpTree
 
         if Path(args.index).exists():
-            tree = VpTree.load(args.index, seqs, engine=args.engine)
+            tree = VpTree.load(args.index, seqs)
         else:
-            tree = VpTree.build(seqs, seed, engine=args.engine)
+            tree = VpTree.build(seqs, 0)
             tree.save(args.index)
         results = tree.knn(query, args.k)
     else:
-        ds = distances(query, seqs, engine=args.engine)
+        ds = distances(query, seqs)
         ranked = sorted(zip(ds, range(len(ds))))
         results = [(i, d) for d, i in ranked[: args.k]]
 
@@ -174,7 +173,7 @@ def cmd_check(args) -> int:
         verify_metric_axioms,
     )
 
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     mode = "exhaustive" if args.exhaustive else "random"
     config = GenConfig(
         alphabet_size=args.alphabet,
@@ -236,15 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="decimal places in printed distances (1..17, default 12)",
     )
-    strings.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="LCS engine (default: auto)",
-    )
-    # knn and check draw seeded random numbers
-    seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, metavar="U64")
 
     parser = _Parser(prog="harmdist", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -261,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser(
-        "knn", parents=[strings, seeded], help="k nearest corpus lines to a query"
+        "knn", parents=[strings], help="k nearest corpus lines to a query"
     )
     p.add_argument("corpus", help="newline-delimited corpus file")
     p.add_argument("query")
@@ -278,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_knn)
 
-    p = sub.add_parser(
-        "check", parents=[seeded], help="verify the metric axioms and lemmas"
-    )
+    p = sub.add_parser("check", help="verify the metric axioms and lemmas")
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--exhaustive", action="store_true")
     kind.add_argument("--random", action="store_true")
@@ -302,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args, parser: argparse.ArgumentParser) -> None:
     if not 1 <= getattr(args, "precision", 12) <= 17:
         parser.error("--precision must be between 1 and 17")
-    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2 ** 64:
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:
         parser.error("--seed must fit in 64 unsigned bits")
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be positive")

@@ -8,9 +8,9 @@ one.  One row update, ``_advance``, serves it in two forms:
   match masks built once.  ``lcs_len_bitparallel(a, b)`` lays the
   shorter input along the bits and advances it over the longer one;
   ``lcs_len`` runs it for ``auto``.  ``lcs_profile(q)`` lays q along the
-  bits once for every string it then meets; ``lcs_lens`` runs it for
-  ``auto`` when the packing rule refuses, and
-  ``metric.distance_profile`` for the vp-tree search;
+  bits once for every string it then meets; ``lcs_lens`` runs it when the
+  packing rule refuses, and ``metric.distance_profile`` for the vp-tree
+  search;
 * packed: many strings, each one lane of a single packed integer, so one
   row update per query symbol advances every pair at once.  It has two
   callers.  ``lcs_lens(q, corpus)`` takes one query against many
@@ -25,31 +25,33 @@ one.  One row update, ``_advance``, serves it in two forms:
 Both packed callers share one kernel: the mask builder, the row update
 and the lane decode.
 
-``dp``, ``huntszymanski`` and ``bruteforce`` stay as named oracles and
-always run per pair, and so does ``bitparallel`` when named.  Only
-lengths are ever computed: every quantity the distance needs collapses to
-|lcs| and |scs| = |a| + |b| - |lcs|, so no traceback is kept.  Memory
-differs by engine: ``dp`` keeps two rows over the shorter input, the
-scalar bit-parallel engine one match mask per distinct symbol of the
-shorter input, and Hunt-Szymanski occurrence lists over all of ``b``
-plus at most min(|a|, |b|) tails.
+An engine is named only to ``lcs_len`` (and ``scs_len``), one pair at a
+time.  ``dp``, ``huntszymanski`` and ``bruteforce`` stay there as
+oracles, and ``bitparallel`` names the same scalar code as ``auto``.
+The one-vs-many and row forms take no engine: every engine returns the
+same length, so the choice could change only their time.  Only lengths
+are ever computed: every quantity the distance needs collapses to |lcs|
+and |scs| = |a| + |b| - |lcs|, so no traceback is kept.  Memory differs
+by engine: ``dp`` keeps two rows over the shorter input, the scalar
+bit-parallel engine one match mask per distinct symbol of the shorter
+input, and Hunt-Szymanski occurrence lists over all of ``b`` plus at
+most min(|a|, |b|) tails.
 
-Packing rule.  Both packed callers pack only for ``auto`` and only when
-every id is below 256 (a lane is built from the ids as bytes), and both
-bound the masks they hold at once, one per distinct symbol at one bit
-per packed symbol plus byte-aligned guard bits, by the bytes of the
-packed strings' own ids (8 bytes per symbol).  ``lcs_lens`` packs only
-while the query's masks over the whole corpus fit; otherwise it runs q's
-profile over every string.  ``lcs_rows`` packs whenever those two
-conditions hold: it sizes each column block so that the masks of the
-block's distinct symbols fit the budget of the whole slice, and holds one
-block's masks at a time (a block holds at least one line).  On the
-benchmark's 150-line long-sparse slice (200 symbols) the masks over all
-lanes would take 933 kB against a 293 kB budget, and the slice is cut
-into four blocks; its 120-line short-dense slice (4 symbols) is one
-block.  A fresh ``matrix`` over the long-sparse slice took 0.24 s with
-the row form against 0.57 s with a profile per row (2-core x86-64
-machine, medians of 8 alternating pairs).
+Packing rule.  Both packed callers pack only when every id is below 256
+(a lane is built from the ids as bytes), and both bound the masks they
+hold at once, one per distinct symbol at one bit per packed symbol plus
+byte-aligned guard bits, by the bytes of the packed strings' own ids (8
+bytes per symbol).  ``lcs_lens`` packs only while the query's masks over
+the whole corpus fit; otherwise it runs q's profile over every string.
+``lcs_rows`` packs whenever those two conditions hold: it sizes each
+column block so that the masks of the block's distinct symbols fit the
+budget of the whole slice, and holds one block's masks at a time (a
+block holds at least one line).  On the benchmark's 150-line long-sparse
+slice (200 symbols) the masks over all lanes would take 933 kB against a
+293 kB budget, and the slice is cut into four blocks; its 120-line
+short-dense slice (4 symbols) is one block.  A fresh ``matrix`` over the
+long-sparse slice took 0.24 s with the row form against 0.57 s with a
+profile per row (2-core x86-64 machine, medians of 8 alternating pairs).
 
 Each packed mask costs a pass over the packed corpus, so the one-query
 rule keeps packing to few distinct query symbols.  Measured on a 2-core
@@ -313,51 +315,45 @@ def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
-def lcs_lens(
-    q: SymbolSeq, corpus: Sequence[SymbolSeq], engine: Engine = "auto"
-) -> list[int]:
+def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     """LCS lengths of q against every corpus string, in corpus order.
 
-    For ``auto`` this is the packed form of the bit-parallel engine when
-    the packing rule admits the input (see the module docstring), and q's
-    profile (``lcs_profile``) run over every string otherwise; every other
-    engine, ``bitparallel`` included, runs per pair.  Whichever form runs,
-    each length equals ``lcs_len(q, s, engine)``.
+    The packed form of the bit-parallel engine when the packing rule
+    admits the input (see the module docstring), and q's profile
+    (``lcs_profile``) run over every string otherwise.  Whichever form
+    runs, each length equals ``lcs_len(q, s)``.
     """
-    if engine == "auto" and corpus:
-        symbols = set(q.ids)
-        lengths = [len(s.ids) for s in corpus]
-        widths = [n // 8 + 1 for n in lengths]
-        if symbols <= _BYTE_IDS and len(symbols) * sum(widths) <= 8 * sum(lengths):
-            try:
-                lanes = b"".join([_lane(s) for s in corpus])
-            except ValueError:  # a corpus id of 256 or more
-                pass
-            else:
-                return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
-        return list(map(lcs_profile(q), corpus))
-    return [lcs_len(q, s, engine) for s in corpus]
-
-
-def lcs_rows(seqs: Sequence[SymbolSeq], engine: Engine = "auto") -> list[list[int]]:
-    """The upper triangle of the LCS-length matrix of seqs: row i is
-    ``lcs_lens(seqs[i], seqs[i + 1:], engine)``, for every i, so the last
-    row is empty.
-
-    For ``auto`` with every id below 256 this is the row caller of the
-    packed form (see the module docstring): each symbol's mask is built
-    once per column block and shared by every row that reaches the block.
-    Any other slice or engine runs ``lcs_lens`` row by row.  Whichever
-    form runs, each length equals ``lcs_len(seqs[i], seqs[j], engine)``.
-    """
-    if engine == "auto":
+    if not corpus:  # an empty packed text has no masks to build
+        return []
+    symbols = set(q.ids)
+    lengths = [len(s.ids) for s in corpus]
+    widths = [n // 8 + 1 for n in lengths]
+    if symbols <= _BYTE_IDS and len(symbols) * sum(widths) <= 8 * sum(lengths):
         try:
-            lanes = [_lane(s) for s in seqs]
-        except ValueError:  # an id of 256 or more
+            lanes = b"".join([_lane(s) for s in corpus])
+        except ValueError:  # a corpus id of 256 or more
             pass
         else:
-            return _lcs_rows_packed(seqs, lanes)
-    return [lcs_lens(q, seqs[i + 1 :], engine) for i, q in enumerate(seqs)]
+            return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
+    return list(map(lcs_profile(q), corpus))
+
+
+def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
+    """The upper triangle of the LCS-length matrix of seqs: row i is
+    ``lcs_lens(seqs[i], seqs[i + 1:])``, for every i, so the last row is
+    empty.
+
+    With every id below 256 this is the row caller of the packed form
+    (see the module docstring): each symbol's mask is built once per
+    column block and shared by every row that reaches the block.  Any
+    other slice runs ``lcs_lens`` row by row.  Whichever form runs, each
+    length equals ``lcs_len(seqs[i], seqs[j])``.
+    """
+    try:
+        lanes = [_lane(s) for s in seqs]
+    except ValueError:  # an id of 256 or more
+        return [lcs_lens(q, seqs[i + 1 :]) for i, q in enumerate(seqs)]
+    return _lcs_rows_packed(seqs, lanes)
 
 
 def _lane(s: SymbolSeq) -> bytes:

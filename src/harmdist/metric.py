@@ -81,10 +81,10 @@ def distances(
     corpus: Sequence[SymbolSeq],
     *,
     table: HarmonicTable | None = None,
-    engine: Engine = "auto",
 ) -> list[float]:
-    """``[distance(q, s, table=table, engine=engine) for s in corpus]``,
-    bit for bit, with the LCS lengths taken one-vs-many by ``lcs_lens``.
+    """``[distance(q, s, table=table) for s in corpus]``, bit for bit, with
+    the LCS lengths taken one-vs-many by ``lcs_lens``.  It takes no
+    engine: every engine gives the same distance.
 
     The knn scan and the vp-tree build run through here; the CLI's
     ``matrix`` runs through ``distance_rows``.  A string equal to q gets
@@ -96,7 +96,7 @@ def distances(
     la = len(q.ids)
     return [
         _distance_from_lengths(la, len(s.ids), lcs, table)
-        for s, lcs in zip(corpus, lcs_lens(q, corpus, engine))
+        for s, lcs in zip(corpus, lcs_lens(q, corpus))
     ]
 
 
@@ -104,12 +104,11 @@ def distance_rows(
     seqs: Sequence[SymbolSeq],
     *,
     table: HarmonicTable | None = None,
-    engine: Engine = "auto",
 ) -> list[array]:
     """The upper triangle of the distance matrix of seqs: row i is
-    ``distances(seqs[i], seqs[i + 1:], table=table, engine=engine)``, bit
-    for bit, as an ``array('d')``, with the LCS lengths of every row taken
-    at once by ``lcs_rows``.  The last row is empty.
+    ``distances(seqs[i], seqs[i + 1:], table=table)``, bit for bit, as an
+    ``array('d')``, with the LCS lengths of every row taken at once by
+    ``lcs_rows``.  The last row is empty.
     """
     if table is None:
         table = default_table()
@@ -122,7 +121,7 @@ def distance_rows(
                 for lb, lcs in zip(lens[i + 1 :], row)
             ],
         )
-        for i, (la, row) in enumerate(zip(lens, lcs_rows(seqs, engine)))
+        for i, (la, row) in enumerate(zip(lens, lcs_rows(seqs)))
     ]
 
 
@@ -130,19 +129,14 @@ def distance_profile(
     q: SymbolSeq,
     *,
     table: HarmonicTable | None = None,
-    engine: Engine = "auto",
 ) -> Callable[[SymbolSeq], float]:
-    """The function s -> ``distance(q, s, table=table, engine=engine)``,
-    bit for bit.
+    """The function s -> ``distance(q, s, table=table)``, bit for bit.
 
-    For ``auto`` it runs q's LCS profile (``lcs_profile``), built once
-    here, and the length formula, which gives exactly 0.0 for a string
-    equal to q; every other engine runs ``distance`` pair by pair.
+    It runs q's LCS profile (``lcs_profile``), built once here, and the
+    length formula, which gives exactly 0.0 for a string equal to q.
     """
     if table is None:
         table = default_table()
-    if engine != "auto":
-        return lambda s: distance(q, s, table=table, engine=engine)
     lcs, la = lcs_profile(q), len(q.ids)
     return lambda s: _distance_from_lengths(la, len(s.ids), lcs(s), table)
 

@@ -44,7 +44,7 @@ except ImportError:
 
 from .errors import IndexFormatError
 from .harmonic import HarmonicTable, default_table
-from .lcs import Engine, SymbolSeq
+from .lcs import SymbolSeq
 from .metric import distance_profile, distances
 
 LEAF_SIZE = 8
@@ -105,8 +105,8 @@ class PruningStats(NamedTuple):
         return total / (len(self.evaluations) * self.corpus_size)
 
 
-# the fields that make two trees equal: table and engine change how a
-# query is computed, never what it returns
+# the fields that make two trees equal: the table changes how a query is
+# computed, never what it returns
 _TREE_FIELDS = ("corpus", "order", "pivots", "radii", "build_seed")
 
 
@@ -117,7 +117,7 @@ class VpTree:
     ``build_seed`` are.
     """
 
-    __slots__ = (*_TREE_FIELDS, "table", "engine")
+    __slots__ = (*_TREE_FIELDS, "table")
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class VpTree:
         radii: array,  # 'd': slot _split(lo, hi) holds that node's radius
         build_seed: int,
         table: HarmonicTable,
-        engine: Engine = "auto",
     ):
         self.corpus = corpus
         self.order = order
@@ -135,7 +134,6 @@ class VpTree:
         self.radii = radii
         self.build_seed = build_seed
         self.table = table
-        self.engine = engine
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in _TREE_FIELDS)
@@ -148,9 +146,7 @@ class VpTree:
     __hash__ = None  # mutable, like the arrays it holds
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in (*_TREE_FIELDS, "engine")
-        )
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _TREE_FIELDS)
         return f"VpTree({fields})"
 
     @classmethod
@@ -160,7 +156,6 @@ class VpTree:
         seed: int,
         *,
         table: HarmonicTable | None = None,
-        engine: Engine = "auto",
     ) -> "VpTree":
         """Build a tree over the corpus.
 
@@ -191,23 +186,14 @@ class VpTree:
             members = order[lo:hi]
             pivot = members[rng.randrange(hi - lo)]
             rest = [i for i in members if i != pivot]
-            ranked = sorted(
-                zip(
-                    distances(
-                        corpus[pivot],
-                        [corpus[i] for i in rest],
-                        table=table,
-                        engine=engine,
-                    ),
-                    rest,
-                )
-            )
+            ds = distances(corpus[pivot], [corpus[i] for i in rest], table=table)
+            ranked = sorted(zip(ds, rest))
             p = _split(lo, hi)
             pivots[p] = pivot
             radii[p] = ranked[p - lo - 2][0]
             order[lo:hi] = array("I", [pivot] + [i for _, i in ranked])
             stack += ((p, hi), (lo, p))
-        return cls(corpus, order, pivots, radii, seed, table, engine)
+        return cls(corpus, order, pivots, radii, seed, table)
 
     def range_query(self, q: SymbolSeq, r: float) -> set[int]:
         """Exactly the corpus indices within distance r of q."""
@@ -255,7 +241,7 @@ class VpTree:
         also sits in a leaf below it costs one evaluation.
         """
         corpus, order, pivots, radii = self.corpus, self.order, self.pivots, self.radii
-        to_q = distance_profile(q, table=self.table, engine=self.engine)
+        to_q = distance_profile(q, table=self.table)
         cache: dict[int, float] = {}
 
         def dist(i: int) -> float:
@@ -323,12 +309,7 @@ class VpTree:
             p = _split(lo, hi)
             pivot, radius = self.corpus[self.pivots[p]], self.radii[p]
             members = self.order[lo:hi]
-            ds = distances(
-                pivot,
-                [self.corpus[i] for i in members],
-                table=self.table,
-                engine=self.engine,
-            )
+            ds = distances(pivot, [self.corpus[i] for i in members], table=self.table)
             for j, i, d in zip(range(lo, hi), members, ds):
                 if j < p and d > radius:
                     raise ValueError(
@@ -358,7 +339,6 @@ class VpTree:
         corpus,
         *,
         table: HarmonicTable | None = None,
-        engine: Engine = "auto",
     ) -> "VpTree":
         """Load a saved tree and bind it to the corpus it was built from.
 
@@ -414,4 +394,4 @@ class VpTree:
             raise IndexFormatError(f"index holds radius {bad}")
         if table is None:
             table = default_table()
-        return cls(corpus, order, pivots, radii, seed, table, engine)
+        return cls(corpus, order, pivots, radii, seed, table)

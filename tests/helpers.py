@@ -39,10 +39,11 @@ def symbol_seqs(alphabet: int = 4, max_size: int = 32):
     )
 
 
-def interned(lines) -> list[SymbolSeq]:
-    """Lines as ``knn`` interns them in its default codepoints mode."""
+def interned(lines, mode="codepoints") -> list[SymbolSeq]:
+    """Lines as the CLI interns them, in order: a symbol per code point in
+    its default ``codepoints`` mode, a symbol per word in ``words`` mode."""
     interner = Interner()
-    return [interner.seq(line) for line in lines]
+    return [interner.seq(line.split() if mode == "words" else line) for line in lines]
 
 
 def corpus_bytes(corpus) -> bytes:

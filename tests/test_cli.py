@@ -46,7 +46,8 @@ def test_dist_leaves_numpy_unloaded():
         "import sys; from harmdist import cli; "
         "assert cli.main(['dist', 'abc', 'abd']) == 0; "
         "print('numpy' in sys.modules); "
-        "assert cli.main(['dist', 'abc', 'abd', '--engine', 'dp']) == 0; "
+        "import harmdist; i = harmdist.Interner(); "
+        "print('%.12f' % harmdist.distance(i.seq('abc'), i.seq('abd'), engine='dp')); "
         "print('numpy' in sys.modules)"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
@@ -147,12 +148,6 @@ def test_dist_codepoints_mode_rejects_invalid_utf8():
     assert b"UTF-8" in r.stderr
 
 
-def test_dist_engine_flag_is_respected():
-    for engine in ("dp", "bitparallel", "huntszymanski", "bruteforce"):
-        r = run("dist", "ABCBDAB", "BDCABA", "--engine", engine)
-        assert out(r) == run("dist", "ABCBDAB", "BDCABA").stdout.decode()
-
-
 def test_dist_ignores_table_size_env_var():
     # the harmonic table's size is fixed; the variable that once set it
     # is ignored
@@ -243,7 +238,7 @@ def test_knn_k_beyond_corpus_lists_everything(corpus_file):
 def test_knn_with_and_without_index_agree(corpus_file, tmp_path):
     index = str(tmp_path / "corpus.hvpt")
     query = ("knn", str(corpus_file), "apricots", "--k", "3")
-    indexed = run(*query, "--seed", "5", "--index", index)
+    indexed = run(*query, "--index", index)
     linear = run(*query, "--no-index")
     assert indexed.stdout == linear.stdout == run(*query).stdout
 
@@ -291,23 +286,28 @@ def _sparse_lines(n, seed):
     ids=["acgt-2000", "words-600", "wide-400"],
 )
 def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path):
+    # plain, building the index and loading it, knn prints the ranking of a
+    # full scan under the huntszymanski oracle; the index it saves is the
+    # one built in process with seed 0
+    from harmdist import VpTree, distance
+
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("\n".join(lines) + "\n")
+    index = tmp_path / "corpus.hvpt"
     base = ("knn", str(corpus), query, "--k", "15", "--mode", mode)
-    outputs = {}
-    for engine in ("auto", "huntszymanski"):
-        index = tmp_path / f"{engine}.hvpt"
-        plain = run(*base, "--engine", engine)
-        built = run(*base, "--engine", engine, "--index", str(index))
-        loaded = run(*base, "--engine", engine, "--index", str(index))
-        assert plain.returncode == built.returncode == loaded.returncode == 0
-        assert plain.stdout == built.stdout == loaded.stdout
-        outputs[engine] = plain.stdout
-    assert outputs["auto"] == outputs["huntszymanski"]
-    assert len(outputs["auto"].splitlines()) == 15
-    assert (tmp_path / "auto.hvpt").read_bytes() == (
-        tmp_path / "huntszymanski.hvpt"
-    ).read_bytes()
+    plain = run(*base)
+    built = run(*base, "--index", str(index))
+    loaded = run(*base, "--index", str(index))
+    assert plain.returncode == built.returncode == loaded.returncode == 0
+    *seqs, q = interned([*lines, query], mode)
+    ranked = sorted((distance(q, s, engine="huntszymanski"), i) for i, s in enumerate(seqs))
+    oracle = "".join(
+        f"{rank}\t{i}\t{d:.12f}\t{lines[i]}\n"
+        for rank, (d, i) in enumerate(ranked[:15], start=1)
+    )
+    assert plain.stdout == built.stdout == loaded.stdout == oracle.encode("utf-8")
+    VpTree.build(seqs, 0).save(tmp_path / "oracle.hvpt")
+    assert index.read_bytes() == (tmp_path / "oracle.hvpt").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -321,52 +321,48 @@ def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path)
     ids=["acgt-150", "words-600", "wide-400", "sparse-150"],
 )
 def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
+    # matrix prints the distances of the huntszymanski oracle, each pair
+    # computed once and written to both halves
+    from harmdist import distance
+
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("\n".join(lines) + "\n")
-    auto, oracle = (
-        run("matrix", str(corpus), "--mode", mode, "--engine", engine)
-        for engine in ("auto", "huntszymanski")
-    )
-    assert auto.returncode == oracle.returncode == 0
-    assert auto.stdout == oracle.stdout
-    assert len(auto.stdout.splitlines()) == len(lines) + 1
+    r = run("matrix", str(corpus), "--mode", mode)
+    assert r.returncode == 0
+    seqs = interned(lines, mode)
+    n = len(seqs)
+    grid = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = grid[j][i] = distance(seqs[i], seqs[j], engine="huntszymanski")
+    rows = ["\t".join(map(str, range(n)))]
+    rows += ["\t".join(f"{d:.12f}" for d in row) for row in grid]
+    assert r.stdout == "".join(row + "\n" for row in rows).encode("utf-8")
+    assert len(r.stdout.splitlines()) == len(lines) + 1
 
 
 @pytest.mark.parametrize(
-    "lines, engine, blocks",
-    [
-        (_acgt_lines(12, 5), "auto", 1),
-        (_sparse_lines(40, 9), "auto", 4),
-        (_wide_lines(12, 6), "auto", 0),
-        (_acgt_lines(12, 5), "bitparallel", 0),
-        (_wide_lines(12, 6), "huntszymanski", 0),
-    ],
-    ids=[
-        "acgt-auto",
-        "sparse-auto",
-        "wide-auto",
-        "acgt-bitparallel",
-        "wide-huntszymanski",
-    ],
+    "lines, blocks",
+    [(_acgt_lines(12, 5), 1), (_sparse_lines(40, 9), 4), (_wide_lines(12, 6), 0)],
+    ids=["acgt-auto", "sparse-auto", "wide-auto"],
 )
 def test_matrix_takes_each_row_in_one_call(
-    lines, engine, blocks, mask_calls, packed_calls, profile_calls, tmp_path, capsys
+    lines, blocks, mask_calls, packed_calls, profile_calls, tmp_path, capsys
 ):
-    # With ids below 256, auto packs the slice once and builds each
+    # With ids below 256, matrix packs the slice once and builds each
     # symbol's mask once per column block, for every row that reaches the
     # block; with an id of 256 or more each row goes to lcs_lens, which
-    # runs these wide rows' profiles over the lines after them; a named
-    # engine runs pair by pair.
+    # runs these wide rows' profiles over the lines after them.
     from harmdist import cli
     from harmdist.lcs import _lane
 
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("\n".join(lines) + "\n")
-    assert cli.main(["matrix", str(corpus), "--engine", engine]) == 0
+    assert cli.main(["matrix", str(corpus)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(lines) + 1
     assert packed_calls == []
     seqs = interned(lines)
-    wide = engine == "auto" and any(i > 255 for s in seqs for i in s.ids)
+    wide = any(i > 255 for s in seqs for i in s.ids)
     assert profile_calls == (list(range(len(lines) - 1, 0, -1)) if wide else [])
     assert len(mask_calls) == blocks
     # the blocks tile the slice in order, and each holds one mask for
@@ -483,7 +479,11 @@ UNREAD_FLAGS = {
     "check-mode": ("check", "--mode", "bytes"),
     "check-precision": ("check", "--precision", "3"),
     "check-engine": ("check", "--engine", "dp"),
+    "dist-engine": ("dist", "a", "b", "--engine", "dp"),
     "dist-seed": ("dist", "a", "b", "--seed", "1"),
+    "knn-engine": ("knn", "corpus.txt", "a", "--engine", "dp"),
+    "knn-seed": ("knn", "corpus.txt", "a", "--seed", "1"),
+    "matrix-engine": ("matrix", "corpus.txt", "--engine", "dp"),
     "matrix-seed": ("matrix", "corpus.txt", "--seed", "1"),
 }
 

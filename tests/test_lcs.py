@@ -281,15 +281,6 @@ def test_lcs_lens_query_with_many_distinct_symbols_runs_per_pair(
     assert profile_calls == [30]
 
 
-@pytest.mark.parametrize("engine", ["dp", "bitparallel", "huntszymanski"])
-def test_lcs_lens_runs_named_engines_per_pair(engine, packed_calls, profile_calls):
-    corpus = [seq("acgt"), seq("gatc"), seq("")]
-    assert lcs_lens(seq("cat"), corpus, engine) == [2, 2, 0]
-    wide = [SymbolSeq((1, 256, 2)), SymbolSeq((300,))]
-    assert lcs_lens(SymbolSeq((2, 300, 1)), wide, engine) == [1, 1]
-    assert packed_calls == profile_calls == []
-
-
 @given(
     q=symbol_seqs(6, 40),
     corpus=st.lists(symbol_seqs(6, 80), min_size=1, max_size=12),
@@ -351,14 +342,6 @@ def test_lcs_rows_of_long_lines_build_masks_per_column_block(mask_calls):
     lcs_mod.lcs_rows(seqs)
     assert len(mask_calls) == 4
     assert max(held for _, _, held in mask_calls) <= 8 * sum(map(len, seqs))
-
-
-@pytest.mark.parametrize("engine", ["dp", "bitparallel", "huntszymanski"])
-def test_lcs_rows_run_named_engines_per_pair(engine, mask_calls, profile_calls):
-    seqs = [seq("acgt"), seq("gatc"), seq(""), SymbolSeq((2, 300, 1))]
-    rows = lcs_mod.lcs_rows(seqs, engine)
-    assert rows == [[2, 0, 0], [0, 0], [0], []]
-    assert mask_calls == profile_calls == []
 
 
 # -- the query profile --------------------------------------------------------

@@ -212,11 +212,12 @@ def test_distances_equal_scalar_distance_on_criterion_6_groups():
 def test_distances_with_a_table_and_an_engine():
     corpus = [seq("kitten"), seq("sitting"), seq(""), seq("kitten")]
     q = seq("mitten")
+    # the batched forms take no engine; each oracle engine gives their values
+    got = distances(q, corpus, table=TABLE)
+    to_q = distance_profile(q, table=TABLE)
+    assert [to_q(s) for s in corpus] == got
     for engine in ("auto", "dp", "huntszymanski"):
-        expected = [d(q, s) for s in corpus]
-        assert distances(q, corpus, table=TABLE, engine=engine) == expected
-        to_q = distance_profile(q, table=TABLE, engine=engine)
-        assert [to_q(s) for s in corpus] == expected
+        assert [distance(q, s, table=TABLE, engine=engine) for s in corpus] == got
     assert distances(q, []) == []
     assert distance_profile(seq(""))(seq("")) == 0.0
 

@@ -5,6 +5,7 @@ from array import array
 import pytest
 
 from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
+from harmdist import vpindex
 from harmdist.vpindex import LEAF_SIZE, corpus_fingerprint
 from helpers import (
     BAD_INDEXES_OF_12,
@@ -43,6 +44,18 @@ def linear_knn(corpus, q, k):
         (distance(q, s, table=TABLE), i) for i, s in enumerate(corpus)
     )
     return [(i, d) for d, i in ranked[:k]]
+
+
+def pairwise_distances(q, corpus, *, table=None):
+    """``metric.distances`` pair by pair, through the scalar bit-parallel
+    engine."""
+    return [distance(q, s, table=table, engine="bitparallel") for s in corpus]
+
+
+def pairwise_profile(q, *, table=None):
+    """``metric.distance_profile`` pair by pair, through the scalar
+    bit-parallel engine."""
+    return lambda s: distance(q, s, table=table, engine="bitparallel")
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +110,15 @@ def test_build_is_deterministic(corpus, tree):
         ("wide-alphabet", lambda: wide_alphabet_corpus(300, seed=4)),
     ],
 )
-def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path):
+def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeypatch):
     corpus = corpus_of()
     packed = VpTree.build(corpus, seed=7)
-    scalar = VpTree.build(corpus, seed=7, engine="bitparallel")
+    packed.validate()
+    monkeypatch.setattr(vpindex, "distances", pairwise_distances)
+    scalar = VpTree.build(corpus, seed=7)
     assert packed.order == scalar.order
     assert packed.pivots == scalar.pivots
     assert packed.radii == scalar.radii
-    packed.validate()
     packed.save(tmp_path / "packed.hvpt")
     scalar.save(tmp_path / "scalar.hvpt")
     assert (tmp_path / "packed.hvpt").read_bytes() == (
@@ -112,25 +126,29 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path):
     ).read_bytes()
 
 
-def test_profiled_search_equals_the_scalar_search():
-    # too many distinct symbols to pack: auto evaluates each distance
-    # through the query's profile, bitparallel pair by pair
+def test_profiled_search_equals_the_scalar_search(monkeypatch):
+    # too many distinct symbols to pack: the tree evaluates each distance
+    # through the query's profile, the fakes pair by pair
     corpus = wide_alphabet_corpus(300, seed=4)
     queries = [corpus[0], corpus[150], *wide_alphabet_corpus(4, seed=9)]
     wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
-    runs = {}
-    for engine in ("auto", "bitparallel"):
-        t = VpTree.build(corpus, seed=7, table=TABLE, engine=engine)
-        runs[engine] = [
+
+    def run_all():
+        t = VpTree.build(corpus, seed=7, table=TABLE)
+        return [
             [t.knn(q, k) for q in queries] + [t.stats(queries, k=k)] for k in (1, 10)
         ] + [
             [t.range_query(q, r) for q in queries] + [t.stats(queries, radius=r)]
             for r in (0.0, wide)
         ]
-    assert runs["auto"] == runs["bitparallel"]
+
+    profiled = run_all()
+    monkeypatch.setattr(vpindex, "distances", pairwise_distances)
+    monkeypatch.setattr(vpindex, "distance_profile", pairwise_profile)
+    assert run_all() == profiled
     # radius 0 prunes, and the wide radius finds 31 lines around query 2
-    assert sum(runs["auto"][2][-1].evaluations) < len(queries) * len(corpus)
-    assert len(runs["auto"][3][2]) == 31
+    assert sum(profiled[2][-1].evaluations) < len(queries) * len(corpus)
+    assert len(profiled[3][2]) == 31
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):
@@ -283,10 +301,10 @@ def test_save_load_roundtrip(tmp_path, corpus, tree):
 
 def test_trees_and_stats_compare_by_value(tmp_path, corpus, tree):
     # a tree equals another over the same corpus, arrays and seed, whatever
-    # table and engine it computes with; stats are immutable values
+    # table it computes with; stats are immutable values
     path = tmp_path / "corpus.hvpt"
     tree.save(path)
-    assert VpTree.load(path, corpus, engine="huntszymanski") == tree
+    assert VpTree.load(path, corpus, table=TABLE) == tree == VpTree.load(path, corpus)
     assert VpTree.build(corpus, seed=8, table=TABLE) != tree
     with pytest.raises(TypeError):
         hash(tree)

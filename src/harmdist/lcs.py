@@ -8,9 +8,9 @@ one.  One row update, ``_advance``, serves it in two forms:
   match masks built once.  ``lcs_len_bitparallel(a, b)`` lays the
   shorter input along the bits and advances it over the longer one;
   ``lcs_len`` runs it for ``auto``.  ``lcs_profile(q)`` lays q along the
-  bits once for every string it then meets; ``lcs_lens`` runs it when the
-  packing rule refuses, and ``metric.distance_profile`` for the vp-tree
-  search;
+  bits once for every string it then meets; ``lcs_lens`` runs it when
+  an id of 256 or more keeps the input from packing, and
+  ``metric.distance_profile`` for the vp-tree search;
 * packed: many strings, each one lane of a single packed integer, so one
   row update per query symbol advances every pair at once.  It has two
   callers.  ``lcs_lens(q, corpus)`` takes one query against many
@@ -37,36 +37,46 @@ bit-parallel engine one match mask per distinct symbol of the shorter
 input, and Hunt-Szymanski occurrence lists over all of ``b`` plus at
 most min(|a|, |b|) tails.
 
-Packing rule.  Both packed callers pack only when every id is below 256
-(a lane is built from the ids as bytes), and both bound the masks they
-hold at once, one per distinct symbol at one bit per packed symbol plus
-byte-aligned guard bits, by the bytes of the packed strings' own ids (8
-bytes per symbol).  ``lcs_lens`` packs only while the query's masks over
-the whole corpus fit; otherwise it runs q's profile over every string.
-``lcs_rows`` packs whenever those two conditions hold: it sizes each
-column block so that the masks of the block's distinct symbols fit the
-budget of the whole slice, and holds one block's masks at a time (a
-block holds at least one line).  On the benchmark's 150-line long-sparse
-slice (200 symbols) the masks over all lanes would take 933 kB against a
-293 kB budget, and the slice is cut into four blocks; its 120-line
-short-dense slice (4 symbols) is one block.  A fresh ``matrix`` over the
-long-sparse slice took 0.24 s with the row form against 0.57 s with a
-profile per row (2-core x86-64 machine, medians of 8 alternating pairs).
+Packed masks.  Every packed mask comes from the bit planes of the packed
+text: plane k marks the bytes whose bit k is set, one ``translate`` and
+one ``int(..., 2)`` pass over the text, and at most 8 planes (as many as
+the largest query id has bits) serve every symbol.  A symbol's mask is
+the AND, over its id's bits, of each plane or its complement; ids that
+share their high bits share the ANDs that select them, which costs about
+two big-integer operations a symbol.  The passes over the text are thus
+set by the largest id, not by the number of distinct symbols.
 
-Each packed mask costs a pass over the packed corpus, so the one-query
-rule keeps packing to few distinct query symbols.  Measured on a 2-core
-x86-64 machine as the median of 61 alternating pairs, lane building
-included, packed time over profile time was 0.50 for a 36-symbol query
-with 4 distinct symbols against 2,000 lines of 8-64 ``acgt`` symbols,
-and 0.64, 0.73 and 0.93 at 14, 20 and 30 distinct symbols.  Against 400
-lines of 100-400 symbols over an alphabet of 200, a 250-symbol query
-(146 distinct) took 2.98 times as long packed; the rule refuses it.  The
-rule still admits a short query with a few dozen distinct symbols
-against such long lines, where packing is slower (1.80 at 37 distinct of
-40).  Memory favours the profile: its masks take |q| bits each, and the
-peak of traced Python allocations during a call was at most 0.02 MB at
-every point above, against 0.89 MB packed on the short lines and 1.32
-and 2.86 MB on the long ones.
+Packing rule.  Both packed callers pack whenever every id is below 256
+(a lane is built from the ids as bytes); an id of 256 or more sends
+``lcs_lens`` to q's profile.  Both bound the masks they keep for the row
+updates, one per distinct symbol at one bit per packed symbol plus
+byte-aligned guard bits, by the bytes of the packed strings' own ids (8
+bytes per symbol).  ``lcs_lens`` prebuilds a mask per distinct query
+symbol while they fit that budget; otherwise it computes each step's
+mask as one AND of two part masks, for the high and the low half of the
+id's bits.  That keeps at most 16 + 16 part masks however many distinct
+symbols the query has, within the budget whenever every line has at
+least 4 symbols.  ``lcs_rows`` sizes each column block so that the masks
+of the block's distinct symbols fit the budget of the whole slice, and
+holds one block's masks at a time (a block holds at least one line).  On
+the benchmark's 150-line long-sparse slice (200 symbols) the masks over
+all lanes would take 933 kB against a 293 kB budget, and the slice is cut
+into four blocks; its 120-line short-dense slice (4 symbols) is one
+block.  A fresh ``matrix`` over the long-sparse slice took 0.24 s with
+the row form against 0.57 s with a profile per row (2-core x86-64
+machine, medians of 8 alternating pairs).
+
+Measured on a 2-core x86-64 machine as the median of 61 alternating
+pairs, lane building included, packed time over profile time was 0.48
+for a 36-symbol query with 4 distinct symbols against 2,000 lines of
+8-64 ``acgt`` symbols (prebuilt masks).  Against 400 lines of 100-400
+symbols over an alphabet of 200 it was 0.74 for a 40-symbol query with
+36 distinct symbols (prebuilt masks) and 0.44 for a 250-symbol query
+with 150 distinct (part masks); with one pass over the text per symbol
+the same two took 1.88 and 2.97.  Memory favours the profile: its masks
+take |q| bits each, and the peak of traced Python allocations during a
+call was at most 0.02 MB at every point above, against 0.51 MB packed on
+the short lines and 0.86 and 0.77 MB on the long ones.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -200,7 +210,7 @@ def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
     if len(xs) > len(ys):
         xs, ys = ys, xs
     masks, full = _match_masks(xs)
-    return len(xs) - _advance(ys, masks, full).bit_count()
+    return len(xs) - _advance(ys, masks.get, full).bit_count()
 
 
 def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
@@ -215,7 +225,9 @@ def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
     return masks, bit - 1
 
 
-def _advance(ids: Iterable[int], masks: dict[int, int], full: int) -> int:
+def _advance(
+    ids: Iterable[int], mask_of: Callable[[int], int | None], full: int
+) -> int:
     """The row after one update per symbol of ids that has a mask:
 
         u = row & mask;  row = ((row + u) | (row - u)) & full
@@ -223,11 +235,13 @@ def _advance(ids: Iterable[int], masks: dict[int, int], full: int) -> int:
     starting from ``full``, where the carry propagation of ``row + u``
     performs the per-run merge the classic recurrence does cell by cell.
     The same update serves one string along the bits and every lane of
-    the packed text that ``full`` selects.  Symbols without a mask are
+    the packed text that ``full`` selects.  ``mask_of`` gives a symbol's
+    mask: the ``get`` of a dict of prebuilt masks, or a function that
+    computes it at each step.  Symbols without a mask (None or 0) are
     dropped by ``filter`` and ``map`` without a Python-level step.
     """
     row = full
-    for mask in filter(None, map(masks.get, ids)):
+    for mask in filter(None, map(mask_of, ids)):
         u = row & mask
         row = ((row + u) | (row - u)) & full
     return row
@@ -242,8 +256,8 @@ def lcs_profile(q: SymbolSeq) -> Callable[[SymbolSeq], int]:
     update per symbol it shares with q.
     """
     masks, full = _match_masks(q.ids)
-    m = len(q.ids)
-    return lambda s: m - _advance(s.ids, masks, full).bit_count()
+    mask_of, m = masks.get, len(q.ids)
+    return lambda s: m - _advance(s.ids, mask_of, full).bit_count()
 
 
 def lcs_len_hunt_szymanski(a: SymbolSeq, b: SymbolSeq) -> int:
@@ -318,22 +332,25 @@ def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
 def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     """LCS lengths of q against every corpus string, in corpus order.
 
-    The packed form of the bit-parallel engine when the packing rule
-    admits the input (see the module docstring), and q's profile
-    (``lcs_profile``) run over every string otherwise.  Whichever form
-    runs, each length equals ``lcs_len(q, s)``.
+    The packed form of the bit-parallel engine whenever every id of q and
+    the corpus is below 256, and q's profile (``lcs_profile``) run over
+    every string otherwise.  The packed form prebuilds a mask per distinct
+    symbol of q while they fit the packing rule's budget, and computes
+    each step's mask from part masks otherwise (see the module
+    docstring).  Whichever form runs, each length equals
+    ``lcs_len(q, s)``.
     """
-    if not corpus:  # an empty packed text has no masks to build
+    if not corpus:  # an empty packed text has no planes to build
         return []
     symbols = set(q.ids)
-    lengths = [len(s.ids) for s in corpus]
-    widths = [n // 8 + 1 for n in lengths]
-    if symbols <= _BYTE_IDS and len(symbols) * sum(widths) <= 8 * sum(lengths):
+    if symbols <= _BYTE_IDS:
         try:
             lanes = b"".join([_lane(s) for s in corpus])
         except ValueError:  # a corpus id of 256 or more
             pass
         else:
+            lengths = [len(s.ids) for s in corpus]
+            widths = [n // 8 + 1 for n in lengths]
             return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
     return list(map(lcs_profile(q), corpus))
 
@@ -374,12 +391,16 @@ def _lane(s: SymbolSeq) -> bytes:
 
 _BYTE_IDS = frozenset(range(256))
 _ZEROS = b"0" * 256
-_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
+_ONES = b"1" * 256
+_BYTES = bytes(range(256))
+# byte b -> "1" where b has bit k set, else "0"
+_PLANES = [(_ZEROS[: 1 << k] + _ONES[: 1 << k]) * (128 >> k) for k in range(8)]
 
 # The packed text.  Lane j spans widths[j] bytes and holds string j in its
 # low lengths[j] bits; the first lane is the most significant.  The text
 # of the lanes has one byte per bit, so translating it to ASCII digits
-# gives the match mask of one symbol over every lane at once.  A mask may
+# gives a mask over every lane at once: a bit plane of the text, from
+# which ``_plane_masks`` builds each symbol's match mask.  A mask may
 # have guard bits set (pad bytes are zero, like symbol 0), but the row's
 # guard bits stay clear, so u never has them: a carry out of a lane stops
 # in its first guard bit and is masked off by ``full``.  Lanes that
@@ -395,8 +416,11 @@ def _lcs_lens_packed(
     lanes: bytes,
 ) -> list[int]:
     full = _packed_full(lengths, widths)
-    row = _advance(qids, _packed_masks(lanes, symbols), full)
-    return _packed_decode(row, full, widths)
+    if len(symbols) * sum(widths) <= 8 * sum(lengths):
+        mask_of = _packed_masks(lanes, symbols).get
+    else:
+        mask_of = _stepped_masks(lanes, symbols)
+    return _packed_decode(_advance(qids, mask_of, full), full, widths)
 
 
 def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list[int]]:
@@ -423,7 +447,7 @@ def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list
         for i in range(hi - 1):
             ws = widths[max(i + 1, lo) : hi]
             part = full & ((1 << 8 * sum(ws)) - 1)
-            rows[i] += _packed_decode(_advance(seqs[i].ids, peq, part), part, ws)
+            rows[i] += _packed_decode(_advance(seqs[i].ids, peq.get, part), part, ws)
         del peq  # before the next block's masks are built
         lo = hi
     return rows
@@ -431,13 +455,72 @@ def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list
 
 def _packed_masks(lanes: bytes, symbols: Iterable[int]) -> dict[int, int]:
     """The match mask over the packed text ``lanes`` of each symbol that
-    occurs in it, one pass over the text a symbol."""
-    peq = {}
-    for s in symbols:
-        mask = int(lanes.translate(_ZEROS[:s] + b"1" + _ZEROS[s + 1 :]), 2)
-        if mask:
-            peq[s] = mask
-    return peq
+    occurs in it, built from the text's bit planes (``_bit_planes``) by
+    ``_plane_masks``."""
+    symbols = list(symbols)
+    if not symbols:
+        return {}
+    root, planes = _bit_planes(lanes, max(symbols))
+    return _plane_masks(root, planes, symbols)
+
+
+def _stepped_masks(lanes: bytes, symbols: set[int]) -> Callable[[int], int]:
+    """The function s -> the match mask of s over the packed text
+    ``lanes`` (0 where s does not occur), computed at each step as one AND
+    of two part masks: one for the high half of the id's bits and one for
+    the low half, each prebuilt for the halves the symbols have.  With
+    ids below 256 that is at most 16 + 16 part masks, however many
+    distinct symbols there are."""
+    root, planes = _bit_planes(lanes, max(symbols))
+    h = len(planes) // 2
+    low = (1 << h) - 1
+    highs = _plane_masks(root, planes[h:], {s >> h for s in symbols}).get
+    lows = _plane_masks((1 << len(lanes)) - 1, planes[:h], {s & low for s in symbols}).get
+    return lambda s: highs(s >> h, 0) & lows(s & low, 0)
+
+
+def _bit_planes(lanes: bytes, top: int) -> tuple[int, list[int]]:
+    """The bit planes of the packed text below the bit length of top, and
+    the root: the mask of the bytes with no bit set above the planes.
+
+    Plane k is the mask whose bit j is set where byte j of the text has its
+    bit k set: one ``translate`` and one ``int(..., 2)`` pass over the
+    text.  The root is every byte unless some byte has a higher bit set.
+    """
+    nbits = top.bit_length()
+    planes = [int(lanes.translate(_PLANES[k]), 2) for k in range(nbits)]
+    below = 1 << nbits
+    if below < 256 and lanes.translate(None, _BYTES[:below]):
+        return int(lanes.translate(_ONES[:below] + _ZEROS[below:]), 2), planes
+    return (1 << len(lanes)) - 1, planes
+
+
+def _plane_masks(root: int, planes: list[int], values: Iterable[int]) -> dict[int, int]:
+    """The mask of each value below 2 ** len(planes) that has one: root
+    AND, for each bit k, plane k where the value has bit k set and its
+    complement where it has not.  Values are split on their bits from the
+    highest down, as in a binary trie, so values that share high bits
+    share the ANDs that select them: a split costs an AND for the ones
+    side and an XOR for the zeros side, and a branch whose mask is 0
+    stops.  Only masks that are not 0 are kept.
+    """
+    masks: dict[int, int] = {}
+    stack = [(root, len(planes), sorted(values))]
+    while stack:
+        mask, k, vs = stack.pop()
+        if not k:
+            masks[vs[0]] = mask
+            continue
+        k -= 1
+        ones = mask & planes[k]
+        cut = bisect_left(vs, (vs[0] >> k | 1) << k)
+        if cut < len(vs) and ones:
+            stack.append((ones, k, vs[cut:]))
+        if cut:
+            zeros = mask ^ ones
+            if zeros:
+                stack.append((zeros, k, vs[:cut]))
+    return masks
 
 
 def _packed_full(lengths: list[int], widths: list[int]) -> int:
@@ -450,10 +533,13 @@ def _packed_full(lengths: list[int], widths: list[int]) -> int:
 
 def _packed_decode(row: int, full: int, widths: list[int]) -> list[int]:
     """Each lane's LCS: the number of its string bits cleared in the row,
-    for the lanes of the low sum(widths) bytes."""
-    matched = (row ^ full).to_bytes(sum(widths), "big").translate(_POPCOUNT)
-    cum = [0, *accumulate(matched)]
-    return [cum[end] - cum[end - w] for w, end in zip(widths, accumulate(widths))]
+    for the lanes of the low sum(widths) bytes, counted one lane slice at
+    a time so that no per-byte list is built."""
+    matched, count = (row ^ full).to_bytes(sum(widths), "big"), int.from_bytes
+    return [
+        count(matched[end - w : end], "big").bit_count()
+        for w, end in zip(widths, accumulate(widths))
+    ]
 
 
 def scs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:

@@ -33,9 +33,9 @@ def packed_calls(monkeypatch):
 
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Record each set of packed masks built, one-query or for a column
-    block of rows: the packed text, the symbols asked for, and the bytes
-    the masks built hold."""
+    """Record each set of prebuilt packed masks, for a column block of
+    rows or a one-query call within the budget: the packed text, the
+    symbols asked for, and the bytes the masks built hold."""
     calls = []
     real = lcs_mod._packed_masks
 

@@ -257,7 +257,7 @@ def _word_lines(n, seed):
 
 def _wide_lines(n, seed):
     # 300 code points from U+0100 and 100-400 of them a line: ids run past
-    # 255 and queries have too many distinct symbols, so nothing packs
+    # 255, so nothing packs
     rng = random.Random(seed)
     return [
         "".join(chr(0x100 + rng.randrange(300)) for _ in range(rng.randint(100, 400)))
@@ -267,8 +267,9 @@ def _wide_lines(n, seed):
 
 def _sparse_lines(n, seed):
     # 200 code points and 100-400 of them a line, as in the benchmark's
-    # long-sparse corpus: ids stay below 256, but a row has too many
-    # distinct symbols for the one-query packing rule
+    # long-sparse corpus: ids stay below 256, so every call packs, and a
+    # line has too many distinct symbols for lcs_lens to prebuild a mask
+    # each within its budget
     rng = random.Random(seed)
     return [
         "".join(chr(0x100 + rng.randrange(200)) for _ in range(rng.randint(100, 400)))
@@ -282,8 +283,9 @@ def _sparse_lines(n, seed):
         (_acgt_lines(2_000, 1), "codepoints", "acgtacgtaacctgca"),
         (_word_lines(400, 2), "words", "w1 w300 w599 w2 w450"),
         (_wide_lines(400, 3), "codepoints", _wide_lines(1, 4)[0]),
+        (_sparse_lines(400, 10), "codepoints", _sparse_lines(1, 11)[0]),
     ],
-    ids=["acgt-2000", "words-600", "wide-400"],
+    ids=["acgt-2000", "words-600", "wide-400", "sparse-400"],
 )
 def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path):
     # plain, building the index and loading it, knn prints the ranking of a

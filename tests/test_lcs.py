@@ -209,7 +209,7 @@ def test_lcs_lens_empty_corpus_lines(packed_calls):
 
 def test_lcs_lens_without_corpus_or_symbols():
     assert lcs_lens(seq("abc"), []) == []
-    # no symbol to pack: every lane would be guard bits only
+    # every lane is guard bits only
     assert lcs_lens(seq("abc"), [seq(""), seq("")]) == [0, 0]
 
 
@@ -266,19 +266,105 @@ def test_lcs_lens_ids_of_256_or_more_run_per_pair(packed_calls, profile_calls):
     assert profile_calls == [3, 2]
 
 
-def test_lcs_lens_query_with_many_distinct_symbols_runs_per_pair(
-    packed_calls, profile_calls
+def test_lcs_lens_query_with_many_distinct_symbols_packs(
+    packed_calls, profile_calls, monkeypatch
 ):
+    # a mask per distinct symbol would overrun the budget of 8 bytes an id,
+    # so each step's mask is the AND of two part masks; every mask kept for
+    # the row updates comes from _plane_masks
+    kept = []
+    real = lcs_mod._plane_masks
+
+    def spy(root, planes, values):
+        masks = real(root, planes, values)
+        kept.append(sum((mask.bit_length() + 7) // 8 for mask in masks.values()))
+        return masks
+
+    monkeypatch.setattr(lcs_mod, "_plane_masks", spy)
     rng = random.Random(5)
     corpus = [SymbolSeq(tuple(rng.randrange(200) for _ in range(40))) for _ in range(30)]
-    many = SymbolSeq(tuple(range(100)))  # 100 masks of 30 lanes > 8 bytes an id
+    budget = 8 * sum(map(len, corpus))
+    text_bytes = sum(len(s) // 8 + 1 for s in corpus)
+    many = SymbolSeq(tuple(range(100)))
+    assert 100 * text_bytes > budget
     assert lcs_lens(many, corpus) == scalar_lens(many, corpus)
-    assert packed_calls == []
-    assert profile_calls == [30]
+    assert packed_calls == [30] and profile_calls == []
+    assert len(kept) == 2 and sum(kept) <= 32 * text_bytes <= budget
+    # few distinct symbols: one prebuilt mask each, within the budget
+    kept.clear()
     few = SymbolSeq(tuple(range(0, 200, 20)))
     assert lcs_lens(few, corpus) == scalar_lens(few, corpus)
-    assert packed_calls == [30]
-    assert profile_calls == [30]
+    assert packed_calls == [30, 30] and profile_calls == []
+    assert len(kept) == 1 and sum(kept) <= 10 * text_bytes <= budget
+    # an id of 256 or more still runs the query's profile
+    wide = SymbolSeq(many.ids + (256,))
+    assert lcs_lens(wide, corpus) == scalar_lens(wide, corpus)
+    assert packed_calls == [30, 30] and profile_calls == [30]
+
+
+@st.composite
+def wide_queries(draw):
+    # alphabets up to 256 ids and queries with 100 or more distinct symbols:
+    # a mask each would pass the budget, which never holds more than 64,
+    # so the packed form steps; lines come from a drawn seed, as in slices
+    alphabet = draw(st.integers(100, 256))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    distinct = rng.sample(range(alphabet), rng.randint(100, alphabet))
+    q = SymbolSeq(tuple(distinct + rng.choices(distinct, k=rng.randint(0, 100))))
+    longest = draw(st.sampled_from([0, 8, 64, 300]))
+    corpus = [
+        SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(rng.randint(0, longest))))
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return q, corpus
+
+
+@given(case=wide_queries())
+@settings(max_examples=100, deadline=None)
+def test_lcs_lens_with_many_distinct_query_symbols_matches_scalar(case):
+    q, corpus = case
+    assert lcs_lens(q, corpus) == scalar_lens(q, corpus)
+
+
+def _translate_masks(text, symbols):
+    # the reference builder: one translate pass over the text per symbol
+    zeros = b"0" * 256
+    masks = {}
+    for s in symbols:
+        mask = int(text.translate(zeros[:s] + b"1" + zeros[s + 1 :]), 2)
+        if mask:
+            masks[s] = mask
+    return masks
+
+
+@st.composite
+def packed_texts(draw):
+    # lanes of random ids, empty ones included, below a drawn bound, and
+    # query ids below another: text bytes may carry bits no query id has,
+    # and query symbols may be absent from the text
+    text_top = draw(st.sampled_from([1, 2, 4, 200, 256]))
+    query_top = draw(st.sampled_from([1, 2, 4, 16, 256]))
+    lines = draw(
+        st.lists(st.lists(st.integers(0, text_top - 1), max_size=20), min_size=1, max_size=8)
+    )
+    text = b"".join(lcs_mod._lane(SymbolSeq(ids)) for ids in lines)
+    symbols = draw(st.sets(st.integers(0, query_top - 1), max_size=40))
+    return text, symbols
+
+
+@given(case=packed_texts())
+@example(case=(lcs_mod._lane(SymbolSeq((0, 255, 7, 0))), {0, 255}))
+@example(case=(lcs_mod._lane(SymbolSeq((200, 3, 64, 1))) * 2, {0, 1, 3}))
+@example(case=(lcs_mod._lane(SymbolSeq(())) * 3, {0, 5}))
+@example(case=(lcs_mod._lane(SymbolSeq((9, 9))), {10, 11, 254}))
+@settings(max_examples=300, deadline=None)
+def test_plane_masks_equal_one_translate_pass_per_symbol(case):
+    text, symbols = case
+    oracle = _translate_masks(text, symbols)
+    assert lcs_mod._packed_masks(text, symbols) == oracle
+    if symbols:
+        mask_of = lcs_mod._stepped_masks(text, symbols)
+        assert {s: mask_of(s) for s in symbols} == {s: oracle.get(s, 0) for s in symbols}
 
 
 @given(

@@ -106,7 +106,8 @@ def test_build_is_deterministic(corpus, tree):
         ("acgt", lambda: make_corpus(2_000, seed=77, max_length=64)),
         # ids of 256 and more: every pivot's distances run through a profile
         ("wide-ids", lambda: make_corpus(300, seed=3, alphabet=1_000)),
-        # long lines, ids below 200: too many distinct symbols to pack
+        # long lines, ids below 200: each pivot's many distinct symbols get
+        # their masks a step at a time, from part masks
         ("wide-alphabet", lambda: wide_alphabet_corpus(300, seed=4)),
     ],
 )
@@ -127,7 +128,7 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeyp
 
 
 def test_profiled_search_equals_the_scalar_search(monkeypatch):
-    # too many distinct symbols to pack: the tree evaluates each distance
+    # long lines over a wide alphabet: the search evaluates each distance
     # through the query's profile, the fakes pair by pair
     corpus = wide_alphabet_corpus(300, seed=4)
     queries = [corpus[0], corpus[150], *wide_alphabet_corpus(4, seed=9)]

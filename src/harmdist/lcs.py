@@ -12,18 +12,14 @@ one.  One row update, ``_advance``, serves it in two forms:
   an id of 256 or more keeps the input from packing, and
   ``metric.distance_profile`` for the vp-tree search;
 * packed: many strings, each one lane of a single packed integer, so one
-  row update per query symbol advances every pair at once.  It has two
-  callers.  ``lcs_lens(q, corpus)`` takes one query against many
-  strings, for the knn scan and the vp-tree build.  ``lcs_rows(seqs)``
-  takes every line of a slice against the lines after it, for the CLI's
-  ``matrix``: the slice is packed once and its columns cut into blocks
-  of consecutive lanes; each symbol's mask over a block is built once and
-  shared by every row that reaches the block, and a row's ``full`` alone
-  selects the lanes after its own line.  A slice that the row caller does
-  not pack goes row by row to ``lcs_lens``.
-
-Both packed callers share one kernel: the mask builder, the row update
-and the lane decode.
+  row update per query symbol advances every pair at once.  One kernel,
+  ``_lcs_packed``, runs a list of queries over one packed text, each
+  from its own start lane, all sharing one mask source; a row's ``full``
+  alone selects the lanes it advances.  ``lcs_lens(q, corpus)`` is one
+  row over every lane, for the knn scan and the vp-tree build.
+  ``lcs_rows(seqs)`` packs a slice once and runs row i over the lanes
+  after lane i, for the CLI's ``matrix``.  A slice that does not pack
+  goes row by row to ``lcs_lens``.
 
 An engine is named only to ``lcs_len`` (and ``scs_len``), one pair at a
 time.  ``dp``, ``huntszymanski`` and ``bruteforce`` stay there as
@@ -46,25 +42,23 @@ share their high bits share the ANDs that select them, which costs about
 two big-integer operations a symbol.  The passes over the text are thus
 set by the largest id, not by the number of distinct symbols.
 
-Packing rule.  Both packed callers pack whenever every id is below 256
-(a lane is built from the ids as bytes); an id of 256 or more sends
-``lcs_lens`` to q's profile.  Both bound the masks they keep for the row
-updates, one per distinct symbol at one bit per packed symbol plus
-byte-aligned guard bits, by the bytes of the packed strings' own ids (8
-bytes per symbol).  ``lcs_lens`` prebuilds a mask per distinct query
-symbol while they fit that budget; otherwise it computes each step's
-mask as one AND of two part masks, for the high and the low half of the
-id's bits.  That keeps at most 16 + 16 part masks however many distinct
-symbols the query has, within the budget whenever every line has at
-least 4 symbols.  ``lcs_rows`` sizes each column block so that the masks
-of the block's distinct symbols fit the budget of the whole slice, and
-holds one block's masks at a time (a block holds at least one line).  On
-the benchmark's 150-line long-sparse slice (200 symbols) the masks over
-all lanes would take 933 kB against a 293 kB budget, and the slice is cut
-into four blocks; its 120-line short-dense slice (4 symbols) is one
-block.  A fresh ``matrix`` over the long-sparse slice took 0.24 s with
-the row form against 0.57 s with a profile per row (2-core x86-64
-machine, medians of 8 alternating pairs).
+Packing rule.  The text packs whenever every id is below 256 (a lane is
+built from the ids as bytes); an id of 256 or more sends ``lcs_lens`` to
+q's profile.  The masks kept for the row updates, one per distinct query
+symbol at one bit per packed symbol plus byte-aligned guard bits, are
+bounded by the bytes of the packed strings' own ids (8 bytes per
+symbol).  One rule picks the mask source for the whole text: a mask per
+distinct query symbol, prebuilt, while they fit that budget; otherwise
+each step's mask is one AND of two part masks, for the high and the low
+half of the id's bits.  That keeps at most 16 + 16 part masks however
+many distinct symbols the queries have, within the budget whenever every
+line has at least 4 symbols.  The benchmark's 150-line long-sparse
+``matrix`` slice (200 symbols) steps, and its 120-line short-dense slice
+(4 symbols) prebuilds.  Against the column blocks this replaced (masks
+per block of lanes sized to the budget, rebuilt for each block), one
+mask source over the whole long-sparse slice took 120 against 114 ms in
+process (medians of 10 alternating pairs, 6 of which it won) and peaked
+at 0.36 against 0.48 MB of traced allocations (2-core x86-64 machine).
 
 Measured on a 2-core x86-64 machine as the median of 61 alternating
 pairs, lane building included, packed time over profile time was 0.48
@@ -104,7 +98,7 @@ class SymbolSeq:
     """An immutable sequence of nonnegative integer symbol ids.
 
     Equal, and hashed alike, exactly when the ids are.  The packed form
-    of ``lcs_lens`` caches the sequence's lane bytes on first use.
+    caches the sequence's lane bytes on first use.
     """
 
     __slots__ = ("ids", "_lane")
@@ -332,26 +326,21 @@ def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
 def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     """LCS lengths of q against every corpus string, in corpus order.
 
-    The packed form of the bit-parallel engine whenever every id of q and
-    the corpus is below 256, and q's profile (``lcs_profile``) run over
-    every string otherwise.  The packed form prebuilds a mask per distinct
-    symbol of q while they fit the packing rule's budget, and computes
-    each step's mask from part masks otherwise (see the module
-    docstring).  Whichever form runs, each length equals
-    ``lcs_len(q, s)``.
+    The packed form of the bit-parallel engine, one row over every lane,
+    whenever every id of q and the corpus is below 256, and q's profile
+    (``lcs_profile``) run over every string otherwise.  Whichever form
+    runs, each length equals ``lcs_len(q, s)``.
     """
     if not corpus:  # an empty packed text has no planes to build
         return []
     symbols = set(q.ids)
     if symbols <= _BYTE_IDS:
         try:
-            lanes = b"".join([_lane(s) for s in corpus])
+            text = b"".join([_lane(s) for s in corpus])
         except ValueError:  # a corpus id of 256 or more
             pass
         else:
-            lengths = [len(s.ids) for s in corpus]
-            widths = [n // 8 + 1 for n in lengths]
-            return _lcs_lens_packed(q.ids, symbols, lengths, widths, lanes)
+            return _lcs_packed([(q.ids, 0)], symbols, corpus, text)[0]
     return list(map(lcs_profile(q), corpus))
 
 
@@ -360,17 +349,20 @@ def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
     ``lcs_lens(seqs[i], seqs[i + 1:])``, for every i, so the last row is
     empty.
 
-    With every id below 256 this is the row caller of the packed form
-    (see the module docstring): each symbol's mask is built once per
-    column block and shared by every row that reaches the block.  Any
-    other slice runs ``lcs_lens`` row by row.  Whichever form runs, each
-    length equals ``lcs_len(seqs[i], seqs[j])``.
+    With every id below 256 the slice is packed once, and row i is one
+    row of the packed form over the lanes after lane i, all rows sharing
+    one mask source.  Any other slice runs ``lcs_lens`` row by row.
+    Whichever form runs, each length equals ``lcs_len(seqs[i], seqs[j])``.
     """
+    if len(seqs) < 2:
+        return [[] for _ in seqs]
     try:
-        lanes = [_lane(s) for s in seqs]
+        text = b"".join([_lane(s) for s in seqs])
     except ValueError:  # an id of 256 or more
         return [lcs_lens(q, seqs[i + 1 :]) for i, q in enumerate(seqs)]
-    return _lcs_rows_packed(seqs, lanes)
+    queries = [(q.ids, i + 1) for i, q in enumerate(seqs[:-1])]
+    symbols = set().union(*[q.ids for q in seqs[:-1]])
+    return _lcs_packed(queries, symbols, seqs, text) + [[]]
 
 
 def _lane(s: SymbolSeq) -> bytes:
@@ -408,48 +400,28 @@ _PLANES = [(_ZEROS[: 1 << k] + _ONES[: 1 << k]) * (128 >> k) for k in range(8)]
 # lanes a row update advances.
 
 
-def _lcs_lens_packed(
-    qids: tuple[int, ...],
+def _lcs_packed(
+    queries: list[tuple[tuple[int, ...], int]],
     symbols: set[int],
-    lengths: list[int],
-    widths: list[int],
-    lanes: bytes,
-) -> list[int]:
+    corpus: Sequence[SymbolSeq],
+    text: bytes,
+) -> list[list[int]]:
+    """For each query (ids, start), its LCS lengths against the corpus
+    strings from lane ``start`` on, one row of updates over the packed
+    ``text`` of the corpus.  ``symbols`` holds every query id; all rows
+    share one mask source, chosen by the packing rule."""
+    lengths = [len(s.ids) for s in corpus]
+    widths = [n // 8 + 1 for n in lengths]
     full = _packed_full(lengths, widths)
     if len(symbols) * sum(widths) <= 8 * sum(lengths):
-        mask_of = _packed_masks(lanes, symbols).get
+        mask_of = _packed_masks(text, symbols).get
     else:
-        mask_of = _stepped_masks(lanes, symbols)
-    return _packed_decode(_advance(qids, mask_of, full), full, widths)
-
-
-def _lcs_rows_packed(seqs: Sequence[SymbolSeq], lanes: list[bytes]) -> list[list[int]]:
-    # Columns are cut into blocks of consecutive lines, each as large as
-    # the budget allows: its masks, one per distinct symbol at its lanes'
-    # bytes, take no more bytes than the ids of the whole slice (8 bytes a
-    # symbol), as in the packing rule.  A block holds at least one line.
-    # Row i runs against every block that holds a line after i, with the
-    # block's lanes up to line i cleared from ``full``.
-    lengths = [len(s.ids) for s in seqs]
-    widths = [len(lane) // 8 for lane in lanes]
-    budget = 8 * sum(lengths)
-    rows: list[list[int]] = [[] for _ in seqs]
-    lo, n = 0, len(seqs)
-    while lo < n:
-        symbols, held, hi = set(seqs[lo].ids), widths[lo], lo + 1
-        while hi < n:
-            grown = symbols.union(seqs[hi].ids)
-            if len(grown) * (held + widths[hi]) > budget:
-                break
-            symbols, held, hi = grown, held + widths[hi], hi + 1
-        peq = _packed_masks(b"".join(lanes[lo:hi]), symbols)
-        full = _packed_full(lengths[lo:hi], widths[lo:hi])
-        for i in range(hi - 1):
-            ws = widths[max(i + 1, lo) : hi]
-            part = full & ((1 << 8 * sum(ws)) - 1)
-            rows[i] += _packed_decode(_advance(seqs[i].ids, peq.get, part), part, ws)
-        del peq  # before the next block's masks are built
-        lo = hi
+        mask_of = _stepped_masks(text, symbols)
+    rows = []
+    for ids, start in queries:
+        ws = widths[start:]
+        part = full & ((1 << 8 * sum(ws)) - 1) if start else full
+        rows.append(_packed_decode(_advance(ids, mask_of, part), part, ws))
     return rows
 
 

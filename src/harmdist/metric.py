@@ -76,43 +76,32 @@ def distance(
     )
 
 
-def distances(
-    q: SymbolSeq,
-    corpus: Sequence[SymbolSeq],
-    *,
-    table: HarmonicTable | None = None,
-) -> list[float]:
-    """``[distance(q, s, table=table) for s in corpus]``, bit for bit, with
-    the LCS lengths taken one-vs-many by ``lcs_lens``.  It takes no
-    engine: every engine gives the same distance.
+def distances(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[float]:
+    """``[distance(q, s) for s in corpus]``, bit for bit, with the LCS
+    lengths taken one-vs-many by ``lcs_lens``.  Like every batched form it
+    takes no engine, since every engine gives the same distance, and no
+    table: it reads the default table.
 
     The knn scan and the vp-tree build run through here; the CLI's
     ``matrix`` runs through ``distance_rows``.  A string equal to q gets
     exactly 0.0 from the length formula itself: both harmonic spans are
     empty.
     """
-    if table is None:
-        table = default_table()
-    la = len(q.ids)
+    table, la = default_table(), len(q.ids)
     return [
         _distance_from_lengths(la, len(s.ids), lcs, table)
         for s, lcs in zip(corpus, lcs_lens(q, corpus))
     ]
 
 
-def distance_rows(
-    seqs: Sequence[SymbolSeq],
-    *,
-    table: HarmonicTable | None = None,
-) -> list[array]:
+def distance_rows(seqs: Sequence[SymbolSeq]) -> list[array]:
     """The upper triangle of the distance matrix of seqs: row i is
-    ``distances(seqs[i], seqs[i + 1:], table=table)``, bit for bit, as an
-    ``array('d')``, with the LCS lengths of every row taken at once by
-    ``lcs_rows``.  The last row is empty.
+    ``distances(seqs[i], seqs[i + 1:])``, bit for bit, as an
+    ``array('d')``.  The LCS lengths of every row come from ``lcs_rows``,
+    one packed call whenever every id is below 256.  The last row is
+    empty.
     """
-    if table is None:
-        table = default_table()
-    lens = [len(s.ids) for s in seqs]
+    table, lens = default_table(), [len(s.ids) for s in seqs]
     return [
         array(
             "d",
@@ -125,19 +114,13 @@ def distance_rows(
     ]
 
 
-def distance_profile(
-    q: SymbolSeq,
-    *,
-    table: HarmonicTable | None = None,
-) -> Callable[[SymbolSeq], float]:
-    """The function s -> ``distance(q, s, table=table)``, bit for bit.
+def distance_profile(q: SymbolSeq) -> Callable[[SymbolSeq], float]:
+    """The function s -> ``distance(q, s)``, bit for bit.
 
     It runs q's LCS profile (``lcs_profile``), built once here, and the
     length formula, which gives exactly 0.0 for a string equal to q.
     """
-    if table is None:
-        table = default_table()
-    lcs, la = lcs_profile(q), len(q.ids)
+    table, lcs, la = default_table(), lcs_profile(q), len(q.ids)
     return lambda s: _distance_from_lengths(la, len(s.ids), lcs(s), table)
 
 

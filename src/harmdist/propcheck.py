@@ -34,7 +34,7 @@ import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, get_args
 
 from .errors import CapacityError
 from .harmonic import HarmonicTable, default_table, harmonic_diff, harmonic_exact
@@ -86,6 +86,8 @@ class GenConfig:
             raise ValueError("sample_count must be nonnegative")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        if self.mode not in get_args(Mode):
+            raise ValueError(f"mode must be one of {get_args(Mode)}, not {self.mode!r}")
 
 
 @dataclass

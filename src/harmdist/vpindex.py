@@ -43,7 +43,6 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import IndexFormatError
-from .harmonic import HarmonicTable, default_table
 from .lcs import SymbolSeq
 from .metric import distance_profile, distances
 
@@ -105,11 +104,6 @@ class PruningStats(NamedTuple):
         return total / (len(self.evaluations) * self.corpus_size)
 
 
-# the fields that make two trees equal: the table changes how a query is
-# computed, never what it returns
-_TREE_FIELDS = ("corpus", "order", "pivots", "radii", "build_seed")
-
-
 class VpTree:
     """A vantage-point tree over ``corpus``; ``build`` or ``load`` one.
 
@@ -117,7 +111,7 @@ class VpTree:
     ``build_seed`` are.
     """
 
-    __slots__ = (*_TREE_FIELDS, "table")
+    __slots__ = ("corpus", "order", "pivots", "radii", "build_seed")
 
     def __init__(
         self,
@@ -126,17 +120,15 @@ class VpTree:
         pivots: array,  # 'I': slot _split(lo, hi) holds that node's pivot
         radii: array,  # 'd': slot _split(lo, hi) holds that node's radius
         build_seed: int,
-        table: HarmonicTable,
     ):
         self.corpus = corpus
         self.order = order
         self.pivots = pivots
         self.radii = radii
         self.build_seed = build_seed
-        self.table = table
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in _TREE_FIELDS)
+        return tuple(getattr(self, f) for f in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -146,17 +138,11 @@ class VpTree:
     __hash__ = None  # mutable, like the arrays it holds
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _TREE_FIELDS)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"VpTree({fields})"
 
     @classmethod
-    def build(
-        cls,
-        corpus,
-        seed: int,
-        *,
-        table: HarmonicTable | None = None,
-    ) -> "VpTree":
+    def build(cls, corpus, seed: int) -> "VpTree":
         """Build a tree over the corpus.
 
         Pivots are seeded pseudo-random draws; the radius is the lower
@@ -171,8 +157,6 @@ class VpTree:
             raise ValueError("cannot build an index over an empty corpus")
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if table is None:
-            table = default_table()
         rng = random.Random(seed)
         n = len(corpus)
         order = array("I", range(n))
@@ -186,14 +170,14 @@ class VpTree:
             members = order[lo:hi]
             pivot = members[rng.randrange(hi - lo)]
             rest = [i for i in members if i != pivot]
-            ds = distances(corpus[pivot], [corpus[i] for i in rest], table=table)
+            ds = distances(corpus[pivot], [corpus[i] for i in rest])
             ranked = sorted(zip(ds, rest))
             p = _split(lo, hi)
             pivots[p] = pivot
             radii[p] = ranked[p - lo - 2][0]
             order[lo:hi] = array("I", [pivot] + [i for _, i in ranked])
             stack += ((p, hi), (lo, p))
-        return cls(corpus, order, pivots, radii, seed, table)
+        return cls(corpus, order, pivots, radii, seed)
 
     def range_query(self, q: SymbolSeq, r: float) -> set[int]:
         """Exactly the corpus indices within distance r of q."""
@@ -241,7 +225,7 @@ class VpTree:
         also sits in a leaf below it costs one evaluation.
         """
         corpus, order, pivots, radii = self.corpus, self.order, self.pivots, self.radii
-        to_q = distance_profile(q, table=self.table)
+        to_q = distance_profile(q)
         cache: dict[int, float] = {}
 
         def dist(i: int) -> float:
@@ -309,7 +293,7 @@ class VpTree:
             p = _split(lo, hi)
             pivot, radius = self.corpus[self.pivots[p]], self.radii[p]
             members = self.order[lo:hi]
-            ds = distances(pivot, [self.corpus[i] for i in members], table=self.table)
+            ds = distances(pivot, [self.corpus[i] for i in members])
             for j, i, d in zip(range(lo, hi), members, ds):
                 if j < p and d > radius:
                     raise ValueError(
@@ -333,13 +317,7 @@ class VpTree:
         Path(path).write_bytes(MAGIC + header + body)
 
     @classmethod
-    def load(
-        cls,
-        path,
-        corpus,
-        *,
-        table: HarmonicTable | None = None,
-    ) -> "VpTree":
+    def load(cls, path, corpus) -> "VpTree":
         """Load a saved tree and bind it to the corpus it was built from.
 
         Rejects wrong magic, other format versions, a truncated header, a
@@ -392,6 +370,4 @@ class VpTree:
         if not all(map(math.isfinite, radii)):
             bad = next(r for r in radii if not math.isfinite(r))
             raise IndexFormatError(f"index holds radius {bad}")
-        if table is None:
-            table = default_table()
-        return cls(corpus, order, pivots, radii, seed, table)
+        return cls(corpus, order, pivots, radii, seed)

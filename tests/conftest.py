@@ -1,6 +1,6 @@
 """Let the harmdist processes that tests start import this checkout's src/,
 as the tests themselves do through ``pythonpath`` in pyproject.toml, and
-spy on the one-vs-many and row forms of the LCS engine."""
+spy on the packed LCS kernel, its mask sources and the query profile."""
 
 import importlib
 import os
@@ -18,35 +18,44 @@ lcs_mod = importlib.import_module("harmdist.lcs")
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """Record each one-query run of the packed form, by its number of
-    lanes."""
+    """Record each row the packed kernel runs, by the number of lanes it
+    advances: a one-query call is one row over every lane, and a slice of
+    n lines is n - 1 rows, each over the lanes after its own line."""
     calls = []
-    real = lcs_mod._lcs_lens_packed
+    real = lcs_mod._lcs_packed
 
-    def spy(qids, symbols, lengths, widths, lanes):
-        calls.append(len(lengths))
-        return real(qids, symbols, lengths, widths, lanes)
+    def spy(queries, symbols, corpus, text):
+        calls.extend(len(corpus) - start for _, start in queries)
+        return real(queries, symbols, corpus, text)
 
-    monkeypatch.setattr(lcs_mod, "_lcs_lens_packed", spy)
+    monkeypatch.setattr(lcs_mod, "_lcs_packed", spy)
     return calls
 
 
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Record each set of prebuilt packed masks, for a column block of
-    rows or a one-query call within the budget: the packed text, the
-    symbols asked for, and the bytes the masks built hold."""
+    """Record each mask source the packed kernel builds, prebuilt masks or
+    stepped part masks: the packed text, the number of mask sets built from
+    its planes (one prebuilt, two stepped), and the bytes they hold."""
     calls = []
-    real = lcs_mod._packed_masks
+    plane_masks = lcs_mod._plane_masks
 
-    def spy(lanes, symbols):
-        symbols = list(symbols)
-        peq = real(lanes, symbols)
-        held = sum((mask.bit_length() + 7) // 8 for mask in peq.values())
-        calls.append((lanes, symbols, held))
-        return peq
+    def counted(root, planes, values):
+        masks = plane_masks(root, planes, values)
+        calls[-1][1] += 1
+        calls[-1][2] += sum((mask.bit_length() + 7) // 8 for mask in masks.values())
+        return masks
 
-    monkeypatch.setattr(lcs_mod, "_packed_masks", spy)
+    def spying(source):
+        def spy(text, symbols):
+            calls.append([text, 0, 0])
+            return source(text, symbols)
+
+        return spy
+
+    monkeypatch.setattr(lcs_mod, "_plane_masks", counted)
+    for name in ("_packed_masks", "_stepped_masks"):
+        monkeypatch.setattr(lcs_mod, name, spying(getattr(lcs_mod, name)))
     return calls
 
 

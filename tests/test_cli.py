@@ -344,17 +344,18 @@ def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lines, blocks",
-    [(_acgt_lines(12, 5), 1), (_sparse_lines(40, 9), 4), (_wide_lines(12, 6), 0)],
+    "lines, calls",
+    [(_acgt_lines(12, 5), 1), (_sparse_lines(40, 9), 1), (_wide_lines(12, 6), 0)],
     ids=["acgt-auto", "sparse-auto", "wide-auto"],
 )
 def test_matrix_takes_each_row_in_one_call(
-    lines, blocks, mask_calls, packed_calls, profile_calls, tmp_path, capsys
+    lines, calls, mask_calls, packed_calls, profile_calls, tmp_path, capsys
 ):
-    # With ids below 256, matrix packs the slice once and builds each
-    # symbol's mask once per column block, for every row that reaches the
-    # block; with an id of 256 or more each row goes to lcs_lens, which
-    # runs these wide rows' profiles over the lines after them.
+    # With ids below 256, matrix packs the slice once and runs each row
+    # over the lanes after its own line, every row sharing one mask source
+    # (prebuilt masks on acgt, part masks on the sparse lines); with an id
+    # of 256 or more each row goes to lcs_lens, which runs these wide
+    # rows' profiles over the lines after them.
     from harmdist import cli
     from harmdist.lcs import _lane
 
@@ -362,23 +363,15 @@ def test_matrix_takes_each_row_in_one_call(
     corpus.write_text("\n".join(lines) + "\n")
     assert cli.main(["matrix", str(corpus)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(lines) + 1
-    assert packed_calls == []
     seqs = interned(lines)
-    wide = any(i > 255 for s in seqs for i in s.ids)
-    assert profile_calls == (list(range(len(lines) - 1, 0, -1)) if wide else [])
-    assert len(mask_calls) == blocks
-    # the blocks tile the slice in order, and each holds one mask for
-    # each of its symbols, within the budget of 8 bytes a symbol
-    lo = 0
-    for text, symbols, held in mask_calls:
-        hi = lo + 1
-        while len(b"".join(map(_lane, seqs[lo:hi]))) < len(text):
-            hi += 1
-        assert text == b"".join(map(_lane, seqs[lo:hi]))
-        assert sorted(symbols) == sorted(set().union(*(s.ids for s in seqs[lo:hi])))
+    rows = list(range(len(lines) - 1, 0, -1))
+    assert (packed_calls, profile_calls) == ((rows, []) if calls else ([], rows))
+    assert len(mask_calls) == calls
+    # the mask source reads the whole slice, and the masks it keeps stay
+    # within the budget of 8 bytes a symbol
+    for text, _, held in mask_calls:
+        assert text == b"".join(map(_lane, seqs))
         assert held <= 8 * sum(map(len, seqs))
-        lo = hi
-    assert lo == (len(seqs) if blocks else 0)
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):

@@ -374,14 +374,15 @@ def test_plane_masks_equal_one_translate_pass_per_symbol(case):
 @settings(max_examples=300, deadline=None)
 def test_lcs_lens_matches_scalar_on_random_corpora(q, corpus):
     assert lcs_lens(q, corpus) == scalar_lens(q, corpus)
+    assert lcs_lens(q, corpus) == lcs_mod.lcs_rows([q, *corpus])[0]
 
 
 # -- the row form -------------------------------------------------------------
 
 
 def _long_lines(n, seed, alphabet=200):
-    # long lines over a wide alphabet: the row form splits them into
-    # several column blocks
+    # long lines over a wide alphabet: a mask per symbol over the slice
+    # would overrun the budget, so the row form steps part masks
     rng = random.Random(seed)
     return [
         SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(rng.randint(100, 300))))
@@ -423,11 +424,15 @@ def test_lcs_rows_match_scalar_pair_by_pair(seqs):
         assert row == scalar_lens(seqs[i], seqs[i + 1 :])
 
 
-def test_lcs_rows_of_long_lines_build_masks_per_column_block(mask_calls):
+def test_lcs_rows_of_long_lines_pack_the_slice_once(mask_calls, packed_calls):
+    # one mask source over the whole slice, its part masks within the
+    # budget of 8 bytes a symbol, and row i over the lanes after line i
     seqs = _long_lines(40, 9)
     lcs_mod.lcs_rows(seqs)
-    assert len(mask_calls) == 4
-    assert max(held for _, _, held in mask_calls) <= 8 * sum(map(len, seqs))
+    assert packed_calls == list(range(39, 0, -1))
+    [(text, sets, held)] = mask_calls
+    assert text == b"".join(map(lcs_mod._lane, seqs))
+    assert sets == 2 and held <= 8 * sum(map(len, seqs))
 
 
 # -- the query profile --------------------------------------------------------

@@ -212,9 +212,10 @@ def test_distances_equal_scalar_distance_on_criterion_6_groups():
 def test_distances_with_a_table_and_an_engine():
     corpus = [seq("kitten"), seq("sitting"), seq(""), seq("kitten")]
     q = seq("mitten")
-    # the batched forms take no engine; each oracle engine gives their values
-    got = distances(q, corpus, table=TABLE)
-    to_q = distance_profile(q, table=TABLE)
+    # the batched forms take no engine and read the default table; the
+    # scalar form gives their values with each oracle engine and this table
+    got = distances(q, corpus)
+    to_q = distance_profile(q)
     assert [to_q(s) for s in corpus] == got
     for engine in ("auto", "dp", "huntszymanski"):
         assert [distance(q, s, table=TABLE, engine=engine) for s in corpus] == got

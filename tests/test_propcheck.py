@@ -53,6 +53,8 @@ def test_genconfig_validation():
         GenConfig(alphabet_size=2, max_length=-1)
     with pytest.raises(ValueError):
         GenConfig(alphabet_size=2, max_length=3, seed=2 ** 64)
+    with pytest.raises(ValueError):
+        GenConfig(alphabet_size=2, max_length=3, sample_count=5, mode="exhaustiv")
 
 
 def test_generators_are_seed_deterministic():

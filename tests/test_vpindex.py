@@ -46,16 +46,16 @@ def linear_knn(corpus, q, k):
     return [(i, d) for d, i in ranked[:k]]
 
 
-def pairwise_distances(q, corpus, *, table=None):
+def pairwise_distances(q, corpus):
     """``metric.distances`` pair by pair, through the scalar bit-parallel
     engine."""
-    return [distance(q, s, table=table, engine="bitparallel") for s in corpus]
+    return [distance(q, s, engine="bitparallel") for s in corpus]
 
 
-def pairwise_profile(q, *, table=None):
+def pairwise_profile(q):
     """``metric.distance_profile`` pair by pair, through the scalar
     bit-parallel engine."""
-    return lambda s: distance(q, s, table=table, engine="bitparallel")
+    return lambda s: distance(q, s, engine="bitparallel")
 
 
 @pytest.fixture(scope="module")
@@ -65,23 +65,23 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def tree(corpus):
-    return VpTree.build(corpus, seed=7, table=TABLE)
+    return VpTree.build(corpus, seed=7)
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        VpTree.build([], seed=0, table=TABLE)
+        VpTree.build([], seed=0)
 
 
 def test_single_string_is_one_leaf():
-    t = VpTree.build([SymbolSeq((1, 2))], seed=0, table=TABLE)
+    t = VpTree.build([SymbolSeq((1, 2))], seed=0)
     assert t.order == t.pivots == array("I", [0])
     assert t.radii == array("d", [0.0])
 
 
 def test_duplicate_corpus_queries_return_everything():
     corpus = [SymbolSeq((0, 1, 0))] * 20
-    t = VpTree.build(corpus, seed=3, table=TABLE)
+    t = VpTree.build(corpus, seed=3)
     t.validate()
     assert t.range_query(corpus[0], 0.0) == set(range(20))
     hits = t.knn(corpus[0], 5)
@@ -93,7 +93,7 @@ def test_node_invariants_hold(tree):
 
 
 def test_build_is_deterministic(corpus, tree):
-    again = VpTree.build(corpus, seed=7, table=TABLE)
+    again = VpTree.build(corpus, seed=7)
     assert again.order == tree.order
     assert again.pivots == tree.pivots
     assert again.radii == tree.radii
@@ -135,7 +135,7 @@ def test_profiled_search_equals_the_scalar_search(monkeypatch):
     wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
 
     def run_all():
-        t = VpTree.build(corpus, seed=7, table=TABLE)
+        t = VpTree.build(corpus, seed=7)
         return [
             [t.knn(q, k) for q in queries] + [t.stats(queries, k=k)] for k in (1, 10)
         ] + [
@@ -153,7 +153,7 @@ def test_profiled_search_equals_the_scalar_search(monkeypatch):
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):
-    other = VpTree.build(corpus, seed=8, table=TABLE)
+    other = VpTree.build(corpus, seed=8)
     rng = random.Random(2)
     for _ in range(10):
         q = random_seq(rng, 4, 48)
@@ -208,7 +208,7 @@ def test_knn_rejects_nonpositive_k(tree, corpus):
 
 def test_stats_single_leaf_scans_everything():
     corpus = make_corpus(LEAF_SIZE, seed=2)
-    t = VpTree.build(corpus, seed=0, table=TABLE)
+    t = VpTree.build(corpus, seed=0)
     stats = t.stats(corpus[:3], radius=0.5)
     assert stats.evaluations == (LEAF_SIZE,) * 3
     assert stats.mean_fraction_scanned == 1.0
@@ -216,7 +216,7 @@ def test_stats_single_leaf_scans_everything():
 
 def test_stats_duplicate_corpus_never_prunes():
     corpus = [SymbolSeq((2, 2))] * 40
-    t = VpTree.build(corpus, seed=1, table=TABLE)
+    t = VpTree.build(corpus, seed=1)
     stats = t.stats([corpus[0]], radius=0.0)
     assert stats.mean_fraction_scanned == 1.0
 
@@ -268,7 +268,7 @@ PINNED_SEARCHES = {
 @pytest.mark.parametrize("alphabet, n, max_length", sorted(PINNED_SEARCHES))
 def test_search_evaluates_and_returns_what_was_pinned(alphabet, n, max_length):
     corpus = make_corpus(n, seed=11, alphabet=alphabet, max_length=max_length)
-    tree = VpTree.build(corpus, seed=3, table=TABLE)
+    tree = VpTree.build(corpus, seed=3)
     rng = random.Random(13)
     queries = [random_seq(rng, alphabet, max_length) for _ in range(3)]
     queries += [_near(rng, corpus[rng.randrange(n)], alphabet) for _ in range(5)]
@@ -290,7 +290,7 @@ def test_search_evaluates_and_returns_what_was_pinned(alphabet, n, max_length):
 def test_save_load_roundtrip(tmp_path, corpus, tree):
     path = tmp_path / "corpus.hvpt"
     tree.save(path)
-    loaded = VpTree.load(path, corpus, table=TABLE)
+    loaded = VpTree.load(path, corpus)
     assert loaded.order == tree.order
     assert loaded.pivots == tree.pivots
     assert loaded.radii == tree.radii
@@ -301,12 +301,12 @@ def test_save_load_roundtrip(tmp_path, corpus, tree):
 
 
 def test_trees_and_stats_compare_by_value(tmp_path, corpus, tree):
-    # a tree equals another over the same corpus, arrays and seed, whatever
-    # table it computes with; stats are immutable values
+    # a tree equals another over the same corpus, arrays and seed; stats
+    # are immutable values
     path = tmp_path / "corpus.hvpt"
     tree.save(path)
-    assert VpTree.load(path, corpus, table=TABLE) == tree == VpTree.load(path, corpus)
-    assert VpTree.build(corpus, seed=8, table=TABLE) != tree
+    assert VpTree.load(path, corpus) == tree
+    assert VpTree.build(corpus, seed=8) != tree
     with pytest.raises(TypeError):
         hash(tree)
     stats = tree.stats(corpus[:3], k=2)
@@ -321,7 +321,7 @@ def test_load_rejects_bad_magic(tmp_path, corpus):
     path = tmp_path / "bad.hvpt"
     path.write_bytes(b"NOPE" + bytes(30))
     with pytest.raises(IndexFormatError):
-        VpTree.load(path, corpus, table=TABLE)
+        VpTree.load(path, corpus)
 
 
 def test_load_rejects_wrong_version(tmp_path, corpus, tree):
@@ -331,14 +331,14 @@ def test_load_rejects_wrong_version(tmp_path, corpus, tree):
     data[4:6] = (99).to_bytes(2, "little")
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError):
-        VpTree.load(path, corpus, table=TABLE)
+        VpTree.load(path, corpus)
 
 
 def test_load_rejects_corpus_mismatch(tmp_path, corpus, tree):
     path = tmp_path / "tree.hvpt"
     tree.save(path)
     with pytest.raises(IndexFormatError):
-        VpTree.load(path, corpus[:-1], table=TABLE)
+        VpTree.load(path, corpus[:-1])
 
 
 def test_load_rejects_an_edited_corpus_of_the_same_size(tmp_path, corpus, tree):
@@ -347,7 +347,7 @@ def test_load_rejects_an_edited_corpus_of_the_same_size(tmp_path, corpus, tree):
     edited = list(corpus)
     edited[42] = SymbolSeq(edited[42].ids + (0,))
     with pytest.raises(IndexFormatError, match="different corpus"):
-        VpTree.load(path, edited, table=TABLE)
+        VpTree.load(path, edited)
 
 
 def test_fingerprint_differs_when_a_length_or_an_id_does():
@@ -380,14 +380,14 @@ def test_load_rejects_a_version_1_file(tmp_path):
     path = tmp_path / "v1.hvpt"
     path.write_bytes(V1_INDEX_OF_12)
     with pytest.raises(IndexFormatError, match="version 1 .*delete the file"):
-        VpTree.load(path, make_corpus(12), table=TABLE)
+        VpTree.load(path, make_corpus(12))
 
 
 def test_load_rejects_a_version_2_file(tmp_path):
     path = tmp_path / "v2.hvpt"
     path.write_bytes(V2_INDEX_OF_12)
     with pytest.raises(IndexFormatError, match="version 2 .*delete the file"):
-        VpTree.load(path, make_corpus(12), table=TABLE)
+        VpTree.load(path, make_corpus(12))
 
 
 def test_load_rejects_truncation(tmp_path, corpus, tree):
@@ -396,20 +396,20 @@ def test_load_rejects_truncation(tmp_path, corpus, tree):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError):
-        VpTree.load(path, corpus, table=TABLE)
+        VpTree.load(path, corpus)
 
 
 def test_load_rejects_any_flipped_byte(tmp_path):
     corpus = make_corpus(12)
     path = tmp_path / "tree.hvpt"
-    VpTree.build(corpus, seed=5, table=TABLE).save(path)
+    VpTree.build(corpus, seed=5).save(path)
     data = path.read_bytes()
     for offset in range(4, len(data)):
         flipped = bytearray(data)
         flipped[offset] ^= 0xFF
         path.write_bytes(bytes(flipped))
         with pytest.raises(IndexFormatError):
-            VpTree.load(path, corpus, table=TABLE)
+            VpTree.load(path, corpus)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INDEXES_OF_12))
@@ -419,7 +419,7 @@ def test_load_rejects_indices_that_do_not_partition_the_corpus(tmp_path, case):
     path = tmp_path / f"{case}.hvpt"
     path.write_bytes(hvpt_bytes(corpus, *arrays))
     with pytest.raises(IndexFormatError, match=defect):
-        VpTree.load(path, corpus, table=TABLE)
+        VpTree.load(path, corpus)
 
 
 def test_load_accepts_a_hand_made_partition(tmp_path):
@@ -434,7 +434,7 @@ def test_load_accepts_a_hand_made_partition(tmp_path):
     radii = [0.0] * 7 + [ranked[5][0]] + [0.0] * 4
     path = tmp_path / "good.hvpt"
     path.write_bytes(hvpt_bytes(corpus, order, pivots, radii, seed=9))
-    loaded = VpTree.load(path, corpus, table=TABLE)
+    loaded = VpTree.load(path, corpus)
     loaded.validate()
     assert loaded.build_seed == 9
     for q in corpus[:4]:

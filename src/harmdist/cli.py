@@ -114,15 +114,13 @@ def cmd_matrix(args) -> int:
     interner = Interner()
     seqs = [_line_seq(line, args.mode, interner) for line in lines]
     rows = distance_rows(seqs)
-    precision = args.precision
     out = sys.stdout
     out.write("\t".join(str(i) for i in range(len(seqs))) + "\n")
+    # one format operation per row; %.Nf prints exactly what _fmt does
+    line = "\t".join([f"%.{args.precision}f"] * len(seqs)) + "\n"
     for i, row in enumerate(rows):
         # cell (i, j) below the diagonal is cell (j, i) of the earlier row j
-        cells = [_fmt(rows[j][i - j - 1], precision) for j in range(i)]
-        cells.append(_fmt(0.0, precision))
-        cells += [_fmt(d, precision) for d in row]
-        out.write("\t".join(cells) + "\n")
+        out.write(line % (*[rows[j][i - j - 1] for j in range(i)], 0.0, *row))
     return EXIT_OK
 
 

@@ -170,9 +170,16 @@ def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:
     the cur[j-1] dependency is a running maximum, so a row is computed as
     an elementwise candidate followed by a prefix maximum.  Rows are kept
     over the shorter input: O(|a|*|b|) time, O(min) space.  numpy is
-    imported here, so only callers of this oracle pay for loading it.
+    imported here, so only callers of this oracle pay for loading it; it
+    comes with the ``test`` extra, and without it this raises ImportError.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError(
+            "the dp engine needs numpy, which the 'test' extra installs: "
+            "pip install 'harmdist[test]'"
+        ) from exc
 
     xs, ys = a.ids, b.ids
     if len(xs) < len(ys):

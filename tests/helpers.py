@@ -84,14 +84,24 @@ V2_INDEX_OF_12 = (
     + struct.pack("<BI12I", 0, 12, *range(12))
 )
 
-#: The arrays of an index over 12 strings: the root splits at slot 7.
+#: The arrays of an index over 12 strings, one leaf holding them all.
 _ORDER, _PIVOTS, _RADII = tuple(range(12)), (0,) * 12, (0.0,) * 12
+
+#: A format-3 index file (format 4's layout, for a tree of 8-line leaves)
+#: holding the arrays above under a zeroed digest.
+V3_INDEX_OF_12 = (
+    MAGIC
+    + struct.pack("<HQ32s", 3, 0, bytes(32))
+    + struct.pack("<12I12I12d", *_ORDER, *_PIVOTS, *_RADII)
+)
 
 #: Index files over a 12-string corpus that must be rejected although
 #: their digests match, each as (order, pivots, radii) and a pattern of
 #: the error naming its own defect: an index outside the corpus in
 #: ``order``, index 0 listed twelve times, index 11 missing, a pivot
 #: outside the corpus, a NaN radius, a body short or long by one slot.
+#: The 12 strings make one leaf, whose node uses no pivot or radius slot;
+#: ``load`` checks every slot all the same.
 BAD_INDEXES_OF_12 = {
     "leaf-out-of-range": (
         (tuple(range(11)) + (12,), _PIVOTS, _RADII), "order index 12 outside"

@@ -11,6 +11,7 @@ from helpers import (
     BAD_INDEXES_OF_12,
     V1_INDEX_OF_12,
     V2_INDEX_OF_12,
+    V3_INDEX_OF_12,
     hvpt_bytes,
     interned,
 )
@@ -53,6 +54,42 @@ def test_dist_leaves_numpy_unloaded():
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert r.returncode == 0, r.stderr
     assert out(r) == "0.500000000000\nFalse\n0.500000000000\nTrue\n"
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    # numpy comes with the test extra alone: with it blocked, the package
+    # and every public name import, every command runs, and only the dp
+    # oracle fails, with an error that names the extra
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("acgt\nacca\ngatt\n")
+    c, index = str(corpus), str(tmp_path / "corpus.hvpt")
+    commands = [
+        ["dist", "abc", "abd"],
+        ["matrix", c],
+        ["knn", c, "acg", "--k", "2"],
+        ["knn", c, "acg", "--k", "2", "--index", index],  # builds the index
+        ["knn", c, "acg", "--k", "2", "--index", index],  # loads it
+        ["check", "--exhaustive", "--alphabet", "2", "--maxlen", "3"],
+        ["check", "--random", "--float", "--samples", "20", "--json"],
+    ]
+    probe = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import harmdist\n"
+        "from harmdist import *\n"
+        "from harmdist import cli\n"
+        f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+        "i = harmdist.Interner()\n"
+        "try:\n"
+        "    harmdist.distance(i.seq('ab'), i.seq('ba'), engine='dp')\n"
+        "except ImportError as exc:\n"
+        "    print(codes, exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert out(r).splitlines()[-1] == (
+        "[0, 0, 0, 0, 0, 0, 0] the dp engine needs numpy, which the 'test' extra "
+        "installs: pip install 'harmdist[test]'"
+    )
 
 
 def test_dist_and_knn_load_only_what_they_run(tmp_path):
@@ -424,6 +461,17 @@ def test_knn_rejects_a_version_2_index(tmp_path):
     r = run("knn", str(corpus), "line3", "--index", str(index))
     assert_rejected(r)
     assert b"version 2" in r.stderr
+
+
+def test_knn_rejects_a_version_3_index(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
+    index = tmp_path / "v3.hvpt"
+    index.write_bytes(V3_INDEX_OF_12)
+    r = run("knn", str(corpus), "line3", "--index", str(index))
+    assert_rejected(r)
+    assert b"version 3" in r.stderr
+    assert b"delete the file so that it is rebuilt" in r.stderr
 
 
 def test_knn_rejects_an_index_whose_radii_are_zeroed(tmp_path):

@@ -11,6 +11,7 @@ from helpers import (
     BAD_INDEXES_OF_12,
     V1_INDEX_OF_12,
     V2_INDEX_OF_12,
+    V3_INDEX_OF_12,
     corpus_bytes,
     hvpt_bytes,
     random_seq,
@@ -128,28 +129,91 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeyp
 
 
 def test_profiled_search_equals_the_scalar_search(monkeypatch):
-    # long lines over a wide alphabet: the search evaluates each distance
-    # through the query's profile, the fakes pair by pair
-    corpus = wide_alphabet_corpus(300, seed=4)
-    queries = [corpus[0], corpus[150], *wide_alphabet_corpus(4, seed=9)]
-    wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
+    # the search takes each pivot's distance through the query's profile and
+    # each leaf's through one lcs_lens call, the fakes pair by pair; long
+    # lines over a wide alphabet pack the leaves, and ids of 256 and more
+    # send them through the profile that lcs_lens falls back to
+    for corpus_of, hits in (
+        (lambda seed, n: wide_alphabet_corpus(n, seed), 31),
+        (lambda seed, n: make_corpus(n, seed=seed, alphabet=1_000), 35),
+    ):
+        corpus = corpus_of(4, 300)
+        queries = [corpus[0], corpus[150], *corpus_of(9, 4)]
+        wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
 
-    def run_all():
-        t = VpTree.build(corpus, seed=7)
-        return [
-            [t.knn(q, k) for q in queries] + [t.stats(queries, k=k)] for k in (1, 10)
-        ] + [
-            [t.range_query(q, r) for q in queries] + [t.stats(queries, radius=r)]
-            for r in (0.0, wide)
-        ]
+        def run_all():
+            t = VpTree.build(corpus, seed=7)
+            return [
+                [t.knn(q, k) for q in queries] + [t.stats(queries, k=k)]
+                for k in (1, 10)
+            ] + [
+                [t.range_query(q, r) for q in queries] + [t.stats(queries, radius=r)]
+                for r in (0.0, wide)
+            ]
 
-    profiled = run_all()
-    monkeypatch.setattr(vpindex, "distances", pairwise_distances)
-    monkeypatch.setattr(vpindex, "distance_profile", pairwise_profile)
-    assert run_all() == profiled
-    # radius 0 prunes, and the wide radius finds 31 lines around query 2
-    assert sum(profiled[2][-1].evaluations) < len(queries) * len(corpus)
-    assert len(profiled[3][2]) == 31
+        profiled = run_all()
+        with monkeypatch.context() as m:
+            m.setattr(vpindex, "distances", pairwise_distances)
+            m.setattr(vpindex, "distance_profile", pairwise_profile)
+            assert run_all() == profiled
+        # radius 0 prunes, and the wide radius finds the 31 lines around
+        # query 2, and on the short wide-id lines 4 more tied with the 31st
+        assert sum(profiled[2][-1].evaluations) < len(queries) * len(corpus)
+        assert len(profiled[3][2]) == hits
+
+
+def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
+    corpus = make_corpus(600, seed=6)
+    tree = VpTree.build(corpus, seed=1)
+    leaves, stack = [], [(0, len(corpus))]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo <= LEAF_SIZE:
+            leaves.append(set(tree.order[lo:hi]))
+        else:
+            p = vpindex._split(lo, hi)
+            stack += ((lo, p), (p, hi))
+    leaf_of = {i: j for j, leaf in enumerate(leaves) for i in leaf}
+    index_of = {id(s): i for i, s in enumerate(corpus)}
+    leaf_calls, pivot_calls = [], []
+    real_distances, real_profile = vpindex.distances, vpindex.distance_profile
+
+    def distances(q, seqs):
+        leaf_calls.append([index_of[id(s)] for s in seqs])
+        return real_distances(q, seqs)
+
+    def distance_profile(q):
+        to_q = real_profile(q)
+
+        def spy(s):
+            pivot_calls.append(index_of[id(s)])
+            return to_q(s)
+
+        return spy
+
+    monkeypatch.setattr(vpindex, "distances", distances)
+    monkeypatch.setattr(vpindex, "distance_profile", distance_profile)
+    rng = random.Random(8)
+    visits = []
+    for q in [random_seq(rng, 4, 48) for _ in range(3)] + [corpus[5], corpus[400]]:
+        expected = linear_knn(corpus, q, 10)
+        for calls in (packed_calls, leaf_calls, pivot_calls):
+            calls.clear()
+        assert tree.knn(q, 10) == expected
+        # one packed call per leaf reached, over that leaf's lines that no
+        # pivot above it has evaluated, and no line evaluated twice
+        assert packed_calls == [len(lanes) for lanes in leaf_calls]
+        visited = [leaf_of[lanes[0]] for lanes in leaf_calls]
+        assert len(set(visited)) == len(visited)
+        for j, lanes in zip(visited, leaf_calls):
+            assert 0 < len(lanes) <= LEAF_SIZE
+            assert set(lanes) == leaves[j] - set(pivot_calls)
+        evaluated = [i for lanes in leaf_calls for i in lanes] + pivot_calls
+        assert len(set(evaluated)) == len(evaluated)
+        assert tree.stats([q], k=10).evaluations == (len(evaluated),)
+        visits.append(len(visited))
+    # the searches reach several leaves, and some prune leaves away
+    assert min(visits) > 1 and min(visits) < len(leaves)
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):
@@ -244,21 +308,21 @@ def _near(rng, s, alphabet):
 
 
 #: Per corpus: distance evaluations per query of stats(radius=0.2),
-#: stats(radius=0.5), stats(k=1) and stats(k=10), then the SHA-256 of the
-#: range_query(q, 0.5) and knn(q, 10) results; recorded from the separate
-#: range and knn traversals that the shared one replaced.
+#: stats(radius=0.5), stats(k=1) and stats(k=10) with 64-line leaves, then
+#: the SHA-256 of the range_query(q, 0.5) and knn(q, 10) results, recorded
+#: from the separate range and knn traversals that the shared one replaced.
 PINNED_SEARCHES = {
     (4, 400, 48): (
-        (138, 45, 236, 207, 269, 227, 182, 220),
-        (343, 118, 349, 280, 285, 285, 274, 279),
-        (343, 45, 349, 79, 67, 60, 89, 142),
-        (377, 140, 361, 280, 285, 285, 285, 285),
+        (200, 101, 351, 252, 252, 252, 252, 252),
+        (400, 150, 400, 252, 351, 351, 252, 252),
+        (400, 101, 400, 52, 101, 152, 52, 201),
+        (400, 200, 400, 351, 351, 351, 351, 351),
         "3d04727b6ff7b6bd2d8665e9c6f68c2a880737aa8ca16f47bddb79f463a70b53",
     ),
     (200, 150, 120): (
-        (66, 123, 71, 108, 76, 39, 39, 113),
-        (150, 150, 150, 108, 76, 75, 75, 141),
-        (150, 150, 150, 17, 26, 35, 30, 38),
+        (75, 150, 75, 113, 76, 39, 39, 113),
+        (150, 150, 150, 113, 76, 75, 75, 150),
+        (150, 150, 150, 40, 38, 39, 39, 38),
         (150, 150, 150, 150, 76, 150, 150, 150),
         "48da4205a1dc2c28fbbf01329598a1e999a07489e0bc6f783d7c8c7f2b410768",
     ),
@@ -390,6 +454,13 @@ def test_load_rejects_a_version_2_file(tmp_path):
         VpTree.load(path, make_corpus(12))
 
 
+def test_load_rejects_a_version_3_file(tmp_path):
+    path = tmp_path / "v3.hvpt"
+    path.write_bytes(V3_INDEX_OF_12)
+    with pytest.raises(IndexFormatError, match="version 3 .*delete the file"):
+        VpTree.load(path, make_corpus(12))
+
+
 def test_load_rejects_truncation(tmp_path, corpus, tree):
     path = tmp_path / "cut.hvpt"
     tree.save(path)
@@ -423,22 +494,27 @@ def test_load_rejects_indices_that_do_not_partition_the_corpus(tmp_path, case):
 
 
 def test_load_accepts_a_hand_made_partition(tmp_path):
-    # 12 strings: the root splits at slot 7 into leaves order[:7] and
-    # order[7:]; a leaf may list its elements in any order
-    corpus = make_corpus(12)
+    # LEAF_SIZE + 4 strings: the root splits at slot p into the leaves
+    # order[:p] and order[p:], with the last string as its pivot; a leaf
+    # may list its elements in any order
+    n = LEAF_SIZE + 4
+    p = vpindex._split(0, n)
+    assert p <= LEAF_SIZE and n - p <= LEAF_SIZE
+    corpus = make_corpus(n)
     ranked = sorted(
-        (distance(corpus[11], s, table=TABLE), i) for i, s in enumerate(corpus[:11])
+        (distance(corpus[-1], s, table=TABLE), i) for i, s in enumerate(corpus[:-1])
     )
-    order = [11] + [i for _, i in reversed(ranked[:6])] + [i for _, i in ranked[6:]]
-    pivots = [0] * 7 + [11] + [0] * 4
-    radii = [0.0] * 7 + [ranked[5][0]] + [0.0] * 4
+    order = [n - 1] + [i for _, i in reversed(ranked[: p - 1])]
+    order += [i for _, i in ranked[p - 1 :]]
+    pivots, radii = [0] * n, [0.0] * n
+    pivots[p], radii[p] = n - 1, ranked[p - 2][0]
     path = tmp_path / "good.hvpt"
     path.write_bytes(hvpt_bytes(corpus, order, pivots, radii, seed=9))
     loaded = VpTree.load(path, corpus)
     loaded.validate()
     assert loaded.build_seed == 9
     for q in corpus[:4]:
-        for k in (1, 3, 12):
+        for k in (1, 3, n):
             assert loaded.knn(q, k) == linear_knn(corpus, q, k)
     again = tmp_path / "again.hvpt"
     loaded.save(again)

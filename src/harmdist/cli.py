@@ -81,12 +81,6 @@ def _read_lines(path: str, mode: str) -> list[str] | list[bytes]:
     return lines
 
 
-def _line_seq(line, mode: str, interner: Interner) -> SymbolSeq:
-    if mode == "words":
-        return interner.seq(line.split())
-    return interner.seq(line)
-
-
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
@@ -111,8 +105,9 @@ def cmd_dist(args) -> int:
 
 def cmd_matrix(args) -> int:
     lines = _read_lines(args.input, args.mode)
-    interner = Interner()
-    seqs = [_line_seq(line, args.mode, interner) for line in lines]
+    seqs = Interner().seqs(
+        [line.split() for line in lines] if args.mode == "words" else lines
+    )
     rows = distance_rows(seqs)
     out = sys.stdout
     out.write("\t".join(str(i) for i in range(len(seqs))) + "\n")
@@ -129,7 +124,9 @@ def cmd_knn(args) -> int:
     if not lines:
         raise CliError("corpus is empty", EXIT_USAGE)
     interner = Interner()
-    seqs = [_line_seq(line, args.mode, interner) for line in lines]
+    seqs = interner.seqs(
+        [line.split() for line in lines] if args.mode == "words" else lines
+    )
     query = interner.seq(_tokens(args.query, args.mode))
 
     if args.index:

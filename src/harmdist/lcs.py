@@ -42,23 +42,25 @@ share their high bits share the ANDs that select them, which costs about
 two big-integer operations a symbol.  The passes over the text are thus
 set by the largest id, not by the number of distinct symbols.
 
-Packing rule.  The text packs whenever every id is below 256 (a lane is
-built from the ids as bytes); an id of 256 or more sends ``lcs_lens`` to
-q's profile.  The masks kept for the row updates, one per distinct query
-symbol at one bit per packed symbol plus byte-aligned guard bits, are
-bounded by the bytes of the packed strings' own ids (8 bytes per
-symbol).  One rule picks the mask source for the whole text: a mask per
-distinct query symbol, prebuilt, while they fit that budget; otherwise
-each step's mask is one AND of two part masks, for the high and the low
-half of the id's bits.  That keeps at most 16 + 16 part masks however
-many distinct symbols the queries have, within the budget whenever every
-line has at least 4 symbols.  The benchmark's 150-line long-sparse
-``matrix`` slice (200 symbols) steps, and its 120-line short-dense slice
-(4 symbols) prebuilds.  Against the column blocks this replaced (masks
-per block of lanes sized to the budget, rebuilt for each block), one
-mask source over the whole long-sparse slice took 120 against 114 ms in
-process (medians of 10 alternating pairs, 6 of which it won) and peaked
-at 0.36 against 0.48 MB of traced allocations (2-core x86-64 machine).
+Packing rule.  The text packs whenever every id is below 256, that is
+whenever every sequence holds its ids as ``bytes`` (a lane is then pad
+bytes and one reversed slice of them); an id of 256 or more sends
+``lcs_lens`` to q's profile.  The masks kept for the row updates, one
+per distinct query symbol at one bit per packed symbol plus byte-aligned
+guard bits, are bounded by the bytes of the packed strings' own ids (8
+bytes per symbol).  One rule picks the mask source for the whole text: a
+mask per distinct query symbol, prebuilt, while they fit that budget;
+otherwise each step's mask is one AND of two part masks, for the high
+and the low half of the id's bits.  That keeps at most 16 + 16 part
+masks however many distinct symbols the queries have, within the budget
+whenever every line has at least 4 symbols.  The benchmark's 150-line
+long-sparse ``matrix`` slice (200 symbols) steps, and its 120-line
+short-dense slice (4 symbols) prebuilds.  Against the column blocks this
+replaced (masks per block of lanes sized to the budget, rebuilt for each
+block), one mask source over the whole long-sparse slice took 120
+against 114 ms in process (medians of 10 alternating pairs, 6 of which
+it won) and peaked at 0.36 against 0.48 MB of traced allocations (2-core
+x86-64 machine).
 
 Measured on a 2-core x86-64 machine as the median of 61 alternating
 pairs, lane building included, packed time over profile time was 0.48
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Literal
 
 from .errors import CapacityError
@@ -97,14 +99,20 @@ BRUTE_FORCE_LIMIT = 20
 class SymbolSeq:
     """An immutable sequence of nonnegative integer symbol ids.
 
-    Equal, and hashed alike, exactly when the ids are.  The packed form
-    caches the sequence's lane bytes on first use.
+    ``ids`` takes one canonical form, decided here: ``bytes`` when every id
+    is below 256, a tuple otherwise.  Equal ids therefore always have the
+    same form, and the sequence is equal, and hashed alike, exactly when
+    the ids are.  Consumers read the width from the type of ``ids``.
     """
 
-    __slots__ = ("ids", "_lane")
+    __slots__ = ("ids",)
 
     def __init__(self, ids):
-        _set(self, "ids", ids if type(ids) is tuple else tuple(ids))
+        if type(ids) is not bytes:
+            ids = tuple(ids)
+            if max(ids, default=0) < 256:
+                ids = bytes(ids)
+        object.__setattr__(self, "ids", ids)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -136,9 +144,6 @@ class SymbolSeq:
         return self.ids[i]
 
 
-_set = object.__setattr__
-
-
 class Interner:
     """Maps raw tokens (bytes values, code points, words, ...) to dense ids.
 
@@ -161,6 +166,29 @@ class Interner:
     def seq(self, tokens: Iterable[Hashable]) -> SymbolSeq:
         ids = self._ids
         return SymbolSeq(tuple(ids.setdefault(t, len(ids)) for t in tokens))
+
+    def seqs(self, lines: Sequence[Iterable[Hashable]]) -> list[SymbolSeq]:
+        """``[self.seq(line) for line in lines]``, with the same ids, in one
+        pass over the corpus's tokens.
+
+        The new tokens get their ids in order of first appearance across
+        the lines, as line-by-line interning gives them.  While every id
+        fits in a byte, each ``str`` or ``bytes`` line then becomes its id
+        bytes with one ``translate``.
+        """
+        ids = self._ids
+        tokens = dict.fromkeys(chain.from_iterable(lines))  # first appearance first
+        own = {t: ids.setdefault(t, len(ids)) for t in tokens}
+        kinds = set(map(type, lines)) if len(ids) <= 256 else None
+        if kinds == {str}:
+            table = {ord(t): i for t, i in own.items()}
+            return [
+                SymbolSeq(line.translate(table).encode("latin-1")) for line in lines
+            ]
+        if kinds == {bytes}:
+            table = bytes([own.get(b, 0) for b in range(256)])
+            return [SymbolSeq(line.translate(table)) for line in lines]
+        return [SymbolSeq(tuple(map(ids.__getitem__, line))) for line in lines]
 
 
 def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:
@@ -340,14 +368,9 @@ def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     """
     if not corpus:  # an empty packed text has no planes to build
         return []
-    symbols = set(q.ids)
-    if symbols <= _BYTE_IDS:
-        try:
-            text = b"".join([_lane(s) for s in corpus])
-        except ValueError:  # a corpus id of 256 or more
-            pass
-        else:
-            return _lcs_packed([(q.ids, 0)], symbols, corpus, text)[0]
+    if type(q.ids) is bytes and _packs(corpus):
+        text = b"".join([_lane(s) for s in corpus])
+        return _lcs_packed([(q.ids, 0)], set(q.ids), corpus, text)[0]
     return list(map(lcs_profile(q), corpus))
 
 
@@ -363,32 +386,26 @@ def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
     """
     if len(seqs) < 2:
         return [[] for _ in seqs]
-    try:
-        text = b"".join([_lane(s) for s in seqs])
-    except ValueError:  # an id of 256 or more
+    if not _packs(seqs):
         return [lcs_lens(q, seqs[i + 1 :]) for i, q in enumerate(seqs)]
+    text = b"".join([_lane(s) for s in seqs])
     queries = [(q.ids, i + 1) for i, q in enumerate(seqs[:-1])]
     symbols = set().union(*[q.ids for q in seqs[:-1]])
     return _lcs_packed(queries, symbols, seqs, text) + [[]]
 
 
+def _packs(seqs: Sequence[SymbolSeq]) -> bool:
+    """Whether every id of seqs is below 256, so that they pack."""
+    return all(type(s.ids) is bytes for s in seqs)
+
+
 def _lane(s: SymbolSeq) -> bytes:
     """The lane of s in the packed text, most significant bit first: one
-    to eight zero pad bytes (the guard bits), then the ids last to first.
-
-    Made once per sequence and cached on it; raises ValueError for an id
-    of 256 or more.
-    """
-    try:
-        return s._lane
-    except AttributeError:
-        ids = s.ids
-        lane = bytes(8 - len(ids) % 8) + bytes(ids[::-1])
-        _set(s, "_lane", lane)
-        return lane
+    to eight zero pad bytes (the guard bits), then the id bytes last to
+    first."""
+    return bytes(8 - len(s.ids) % 8) + s.ids[::-1]
 
 
-_BYTE_IDS = frozenset(range(256))
 _ZEROS = b"0" * 256
 _ONES = b"1" * 256
 _BYTES = bytes(range(256))

@@ -369,14 +369,10 @@ class _Collector:
                 self.overflow += 1
 
     def report(self, seed: int | None) -> PropertyReport:
+        # ids as tuples, so that byte and tuple ids compare alike
         cxs = sorted(
             self.counterexamples,
-            key=lambda cx: (
-                cx.slack,
-                cx.triple[0].ids,
-                cx.triple[1].ids,
-                cx.triple[2].ids,
-            ),
+            key=lambda cx: (cx.slack, *[tuple(s.ids) for s in cx.triple]),
         )
         return PropertyReport(
             self.name,
@@ -511,7 +507,7 @@ def verify_lemma_chain(
             if not (is_subsequence(a, b) and is_subsequence(b, c)):
                 raise ValueError(
                     "chain generator produced a non-chain triple: "
-                    f"{a.ids} {b.ids} {c.ids}"
+                    f"{tuple(a)} {tuple(b)} {tuple(c)}"
                 )
             yield a, b, c
 

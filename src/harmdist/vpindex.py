@@ -78,9 +78,9 @@ def _split(lo: int, hi: int) -> int:
 def _hash_corpus(h, corpus):
     h.update(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
     for s in corpus:
-        try:  # a byte per id hashes eight times faster than a u64
-            h.update(b"B" + bytes(s.ids))
-        except ValueError:
+        if type(s.ids) is bytes:  # a byte per id hashes eight times faster than a u64
+            h.update(b"B" + s.ids)
+        else:
             tag = "H" if max(s.ids) < 65536 else "Q"
             h.update(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
     return h

@@ -16,7 +16,7 @@ from harmdist.vpindex import FORMAT_VERSION, MAGIC
 
 def seq(text: str) -> SymbolSeq:
     """ASCII text as a symbol sequence (one symbol per character)."""
-    return SymbolSeq(tuple(text.encode("ascii")))
+    return SymbolSeq(text.encode("ascii"))
 
 
 def rational_harmonic(n: int) -> Fraction:
@@ -40,10 +40,11 @@ def symbol_seqs(alphabet: int = 4, max_size: int = 32):
 
 
 def interned(lines, mode="codepoints") -> list[SymbolSeq]:
-    """Lines as the CLI interns them, in order: a symbol per code point in
-    its default ``codepoints`` mode, a symbol per word in ``words`` mode."""
-    interner = Interner()
-    return [interner.seq(line.split() if mode == "words" else line) for line in lines]
+    """Lines as the CLI interns them, through the same ``Interner.seqs``
+    call: a symbol per code point in its default ``codepoints`` mode, a
+    symbol per word in ``words`` mode."""
+    tokens = [line.split() for line in lines] if mode == "words" else lines
+    return Interner().seqs(tokens)
 
 
 def corpus_bytes(corpus) -> bytes:

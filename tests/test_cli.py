@@ -583,6 +583,18 @@ def test_check_fixture_exits_three_with_counterexample():
     assert "counterexample property=identity" in out(r)
 
 
+def test_check_fixture_over_mixed_id_widths_reports_counterexamples():
+    # over 300 symbols the universe holds byte ids (below 256) and tuple
+    # ids (256 or more), and the counterexamples are sorted across both
+    r = run(
+        "check", "--exhaustive", "--alphabet", "300", "--maxlen", "1",
+        "--fixture", "broken-lcs", "--float",
+    )
+    assert r.returncode == 3
+    assert "counterexample property=identity" in out(r)
+    assert b"Traceback" not in r.stderr
+
+
 def test_check_infeasible_universe():
     r = run("check", "--exhaustive", "--alphabet", "26", "--maxlen", "4")
     assert r.returncode == 1

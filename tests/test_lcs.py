@@ -47,7 +47,7 @@ def test_interner_assigns_dense_stable_ids():
 def test_interner_seq_roundtrip():
     it = Interner()
     s = it.seq("abcabc")
-    assert s.ids == (0, 1, 2, 0, 1, 2)
+    assert s.ids == bytes([0, 1, 2, 0, 1, 2])
     assert it.alphabet_size == 3
 
 
@@ -56,16 +56,17 @@ def test_symbolseq_basics():
     assert len(s) == 3
     assert list(s) == [1, 2, 3]
     assert s[1] == 2
-    assert SymbolSeq([1, 2, 3]) == s  # coerced to tuple
+    assert SymbolSeq([1, 2, 3]) == s  # coerced to the canonical bytes
     assert len(SymbolSeq(())) == 0
 
 
 def test_symbolseq_is_an_immutable_value():
     s = SymbolSeq((1, 2, 3))
-    lcs_lens(seq("ab"), [s])  # caches the lane, which is no field
+    lcs_lens(seq("ab"), [s])  # packing s leaves the value as it was
     assert s == SymbolSeq((1, 2, 3)) and hash(s) == hash(SymbolSeq([1, 2, 3]))
     assert s != SymbolSeq((1, 2)) and s != (1, 2, 3)
-    assert repr(s) == "SymbolSeq(ids=(1, 2, 3))"
+    assert repr(s) == r"SymbolSeq(ids=b'\x01\x02\x03')"
+    assert repr(SymbolSeq((1, 256))) == "SymbolSeq(ids=(1, 256))"
     assert pickle.loads(pickle.dumps(s)) == s
     with pytest.raises(AttributeError):
         s.ids = (4,)
@@ -73,6 +74,87 @@ def test_symbolseq_is_an_immutable_value():
         del s.ids
     with pytest.raises(AttributeError):
         s.extra = 1
+
+
+# Alphabets on both sides of 256, so that ids take both canonical forms.
+ALPHABETS = st.one_of(st.integers(1, 8), st.integers(250, 262), st.integers(263, 600))
+
+
+@given(data=st.data(), alphabet=ALPHABETS)
+@settings(max_examples=200, deadline=None)
+def test_symbolseq_has_one_canonical_form(data, alphabet):
+    ids = data.draw(st.lists(st.integers(0, alphabet - 1), max_size=40))
+    forms = [SymbolSeq(tuple(ids)), SymbolSeq(list(ids)), SymbolSeq(i for i in ids)]
+    wide = any(i >= 256 for i in ids)
+    if not wide:
+        forms.append(SymbolSeq(bytes(ids)))
+    assert all(s == forms[0] and hash(s) == hash(forms[0]) for s in forms)
+    assert all((type(s.ids) is bytes) == (not wide) for s in forms)
+    assert all(list(s.ids) == ids for s in forms)
+
+
+@st.composite
+def corpora(draw):
+    """(mode, lines, prefix): lines in one CLI tokenization mode over a
+    drawn alphabet, and lines interned before them.  ``codepoints``
+    alphabets start in ASCII, Latin-1 or CJK; one line may hold the
+    whole alphabet, so that more than 256 symbols occur."""
+    mode = draw(st.sampled_from(["codepoints", "bytes", "words"]))
+    alphabet = min(256, draw(ALPHABETS)) if mode == "bytes" else draw(ALPHABETS)
+    if mode == "codepoints":
+        base = draw(st.sampled_from([0x20, 0xA0, 0x4E00]))
+        tokens = [chr(base + i) for i in range(alphabet)]
+    elif mode == "bytes":
+        tokens = list(range(alphabet))
+    else:
+        tokens = [f"w{i}" for i in range(alphabet)]
+    index_lines = st.lists(st.integers(0, alphabet - 1), max_size=30)
+    lines = draw(st.lists(index_lines, max_size=12))
+    if draw(st.booleans()):
+        lines.append(draw(st.permutations(range(alphabet))))
+    prefix = draw(st.lists(index_lines, max_size=3))
+
+    def form(ix):
+        ts = [tokens[i] for i in ix]
+        return {"codepoints": "".join, "bytes": bytes, "words": list}[mode](ts)
+
+    return mode, [form(ix) for ix in lines], [form(ix) for ix in prefix]
+
+
+@given(case=corpora())
+@settings(max_examples=200, deadline=None)
+def test_interner_seqs_matches_seq_line_by_line(case):
+    mode, lines, prefix = case
+    one, batched = Interner(), Interner()
+    for line in prefix:
+        assert one.seq(line) == batched.seq(line)
+    expected = [one.seq(line) for line in lines]
+    got = batched.seqs(lines)
+    assert got == expected
+    assert [type(s.ids) for s in got] == [type(s.ids) for s in expected]
+    assert batched.alphabet_size == one.alphabet_size
+    # every token keeps its id: the interners map the same tokens alike
+    assert [batched.intern(t) for t in one._ids] == list(one._ids.values())
+
+
+def test_query_adding_the_257th_symbol_takes_the_profile(packed_calls, profile_calls):
+    # a 256-symbol corpus packs; a query that brings the 257th symbol has
+    # an id of 256, so lcs_lens runs its profile over the corpus instead
+    interner = Interner()
+    rng = random.Random(7)
+    alphabet = [chr(0x100 + i) for i in range(256)]
+    lines = ["".join(alphabet)] + [
+        "".join(rng.choices(alphabet, k=rng.randint(0, 60))) for _ in range(30)
+    ]
+    corpus = interner.seqs(lines)
+    assert all(type(s.ids) is bytes for s in corpus) and interner.alphabet_size == 256
+    query = interner.seq(alphabet[5:40] + [chr(0x4E00)] + alphabet[90:99])
+    assert type(query.ids) is tuple and 256 in query.ids
+    assert lcs_lens(query, corpus) == [lcs_len(query, s) for s in corpus]
+    assert packed_calls == [] and profile_calls == [len(corpus)]
+    narrow = interner.seq(alphabet[:50])
+    assert lcs_lens(narrow, corpus) == [lcs_len(narrow, s) for s in corpus]
+    assert packed_calls == [len(corpus)] and profile_calls == [len(corpus)]
 
 
 # -- fixed examples -----------------------------------------------------------
@@ -175,7 +257,7 @@ def test_bounds_and_symmetry(a, b):
 @settings(max_examples=200, deadline=None)
 def test_appending_shared_symbol_increments(a, b, sym):
     before = lcs_len(a, b)
-    after = lcs_len(SymbolSeq(a.ids + (sym,)), SymbolSeq(b.ids + (sym,)))
+    after = lcs_len(SymbolSeq((*a.ids, sym)), SymbolSeq((*b.ids, sym)))
     assert after == before + 1
 
 
@@ -297,7 +379,7 @@ def test_lcs_lens_query_with_many_distinct_symbols_packs(
     assert packed_calls == [30, 30] and profile_calls == []
     assert len(kept) == 1 and sum(kept) <= 10 * text_bytes <= budget
     # an id of 256 or more still runs the query's profile
-    wide = SymbolSeq(many.ids + (256,))
+    wide = SymbolSeq((*many.ids, 256))
     assert lcs_lens(wide, corpus) == scalar_lens(wide, corpus)
     assert packed_calls == [30, 30] and profile_calls == [30]
 

@@ -152,7 +152,8 @@ def test_lemma_chain_example_values():
 
 
 def test_lemma_chain_rejects_non_chains():
-    with pytest.raises(ValueError):
+    # the message names the ids as tuples, whatever form they are held in
+    with pytest.raises(ValueError, match=r"triple: \(120,\) \(121,\) \(120, 121\)$"):
         verify_lemma_chain([(seq("x"), seq("y"), seq("xy"))], rational=True, table=TABLE)
 
 

@@ -409,7 +409,7 @@ def test_load_rejects_an_edited_corpus_of_the_same_size(tmp_path, corpus, tree):
     path = tmp_path / "tree.hvpt"
     tree.save(path)
     edited = list(corpus)
-    edited[42] = SymbolSeq(edited[42].ids + (0,))
+    edited[42] = SymbolSeq((*edited[42].ids, 0))
     with pytest.raises(IndexFormatError, match="different corpus"):
         VpTree.load(path, edited)
 

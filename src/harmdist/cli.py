@@ -63,7 +63,11 @@ def _tokens(text: str, mode: str):
     return _check_text(text).split()
 
 
-def _read_lines(path: str, mode: str) -> list[str] | list[bytes]:
+def _read_corpus(
+    path: str, mode: str, interner: Interner
+) -> tuple[list[str] | list[bytes], list[SymbolSeq]]:
+    """The lines of the file at path, a trailing newline optional, and
+    their symbol sequences through ``interner``."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -77,8 +81,10 @@ def _read_lines(path: str, mode: str) -> list[str] | list[bytes]:
             raise CliError(f"{path} is not valid UTF-8: {exc}", EXIT_IO) from exc
         lines = text.split("\n")
     if lines and not lines[-1]:
-        lines.pop()  # trailing newline is optional
-    return lines
+        lines.pop()
+    return lines, interner.seqs(
+        [line.split() for line in lines] if mode == "words" else lines
+    )
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -104,10 +110,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    lines = _read_lines(args.input, args.mode)
-    seqs = Interner().seqs(
-        [line.split() for line in lines] if args.mode == "words" else lines
-    )
+    _, seqs = _read_corpus(args.input, args.mode, Interner())
     rows = distance_rows(seqs)
     out = sys.stdout
     out.write("\t".join(str(i) for i in range(len(seqs))) + "\n")
@@ -120,13 +123,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    lines = _read_lines(args.corpus, args.mode)
+    interner = Interner()
+    lines, seqs = _read_corpus(args.corpus, args.mode, interner)
     if not lines:
         raise CliError("corpus is empty", EXIT_USAGE)
-    interner = Interner()
-    seqs = interner.seqs(
-        [line.split() for line in lines] if args.mode == "words" else lines
-    )
     query = interner.seq(_tokens(args.query, args.mode))
 
     if args.index:

@@ -232,10 +232,17 @@ def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
 
 
 _exact_cache: list[Fraction] = []
+_exact_lock = threading.Lock()
 
 
 def harmonic_exact(n: int) -> Fraction:
-    """H_n as an exact rational in lowest terms; guarded at EXACT_LIMIT."""
+    """H_n as an exact rational in lowest terms; guarded at EXACT_LIMIT.
+
+    The cache of H_0..H_k grows under a lock, and a grown copy is swapped
+    in whole, as ``HarmonicTable._grow`` does, so concurrent callers never
+    append the same entry twice.
+    """
+    global _exact_cache
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
     if n > EXACT_LIMIT:
@@ -246,8 +253,9 @@ def harmonic_exact(n: int) -> Fraction:
     if len(cache) <= n:
         from fractions import Fraction
 
-        if not cache:
-            cache.append(Fraction(0))
-        while len(cache) <= n:
-            cache.append(cache[-1] + Fraction(1, len(cache)))
+        with _exact_lock:
+            cache = _exact_cache[:] or [Fraction(0)]
+            while len(cache) <= n:
+                cache.append(cache[-1] + Fraction(1, len(cache)))
+            _exact_cache = cache
     return cache[n]

@@ -4,19 +4,19 @@ Several engines share one contract (the exact LCS length).  The
 bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
 one.  One row update, ``_advance``, serves it in two forms:
 
-* scalar or profile: one string along the bits of one integer, with its
-  match masks built once.  ``lcs_len_bitparallel(a, b)`` lays the
-  shorter input along the bits and advances it over the longer one;
-  ``lcs_len`` runs it for ``auto``.  ``lcs_profile(q)`` lays q along the
-  bits once for every string it then meets; ``lcs_lens`` runs it when
-  an id of 256 or more keeps the input from packing, and
-  ``metric.distance_profile`` for the vp-tree search;
+* scalar: one string along the bits of one integer, with its match masks
+  built once.  ``lcs_profile(q)`` lays q along the bits for every string
+  it then meets.  ``lcs_len_bitparallel(a, b)`` is the profile of the
+  shorter input run over the longer one, and ``lcs_len`` runs it for
+  ``auto``; ``lcs_lens`` runs q's profile over every string when an id
+  of 256 or more keeps the input from packing;
 * packed: many strings, each one lane of a single packed integer, so one
   row update per query symbol advances every pair at once.  One kernel,
   ``_lcs_packed``, runs a list of queries over one packed text, each
   from its own start lane, all sharing one mask source; a row's ``full``
   alone selects the lanes it advances.  ``lcs_lens(q, corpus)`` is one
-  row over every lane, for the knn scan and the vp-tree build.
+  row over every lane, for the knn scan and the vp-tree's build and
+  leaves.
   ``lcs_rows(seqs)`` packs a slice once and runs row i over the lanes
   after lane i, for the CLI's ``matrix``.  A slice that does not pack
   goes row by row to ``lcs_lens``.
@@ -33,46 +33,23 @@ bit-parallel engine one match mask per distinct symbol of the shorter
 input, and Hunt-Szymanski occurrence lists over all of ``b`` plus at
 most min(|a|, |b|) tails.
 
-Packed masks.  Every packed mask comes from the bit planes of the packed
-text: plane k marks the bytes whose bit k is set, one ``translate`` and
-one ``int(..., 2)`` pass over the text, and at most 8 planes (as many as
-the largest query id has bits) serve every symbol.  A symbol's mask is
-the AND, over its id's bits, of each plane or its complement; ids that
-share their high bits share the ANDs that select them, which costs about
-two big-integer operations a symbol.  The passes over the text are thus
-set by the largest id, not by the number of distinct symbols.
-
 Packing rule.  The text packs whenever every id is below 256, that is
 whenever every sequence holds its ids as ``bytes`` (a lane is then pad
 bytes and one reversed slice of them); an id of 256 or more sends
-``lcs_lens`` to q's profile.  The masks kept for the row updates, one
-per distinct query symbol at one bit per packed symbol plus byte-aligned
-guard bits, are bounded by the bytes of the packed strings' own ids (8
-bytes per symbol).  One rule picks the mask source for the whole text: a
-mask per distinct query symbol, prebuilt, while they fit that budget;
-otherwise each step's mask is one AND of two part masks, for the high
-and the low half of the id's bits.  That keeps at most 16 + 16 part
-masks however many distinct symbols the queries have, within the budget
-whenever every line has at least 4 symbols.  The benchmark's 150-line
-long-sparse ``matrix`` slice (200 symbols) steps, and its 120-line
-short-dense slice (4 symbols) prebuilds.  Against the column blocks this
-replaced (masks per block of lanes sized to the budget, rebuilt for each
-block), one mask source over the whole long-sparse slice took 120
-against 114 ms in process (medians of 10 alternating pairs, 6 of which
-it won) and peaked at 0.36 against 0.48 MB of traced allocations (2-core
-x86-64 machine).
+``lcs_lens`` to q's profile.
 
-Measured on a 2-core x86-64 machine as the median of 61 alternating
-pairs, lane building included, packed time over profile time was 0.48
-for a 36-symbol query with 4 distinct symbols against 2,000 lines of
-8-64 ``acgt`` symbols (prebuilt masks).  Against 400 lines of 100-400
-symbols over an alphabet of 200 it was 0.74 for a 40-symbol query with
-36 distinct symbols (prebuilt masks) and 0.44 for a 250-symbol query
-with 150 distinct (part masks); with one pass over the text per symbol
-the same two took 1.88 and 2.97.  Memory favours the profile: its masks
-take |q| bits each, and the peak of traced Python allocations during a
-call was at most 0.02 MB at every point above, against 0.51 MB packed on
-the short lines and 0.86 and 0.77 MB on the long ones.
+Packed masks.  One source serves every packed row update: the part masks
+of ``_stepped_masks``, built once per packed text.  They come from the
+text's bit planes: plane k marks the bytes whose bit k is set, one
+``translate`` and one ``int(..., 2)`` pass over the text, and at most 8
+planes (as many as the largest query id has bits).  A part mask selects
+the bytes whose high (or low) half of the bits equals one value: the AND
+of each plane of that half or its complement, and a high part mask also
+clears the bytes with a bit set above the planes.  A symbol's mask,
+taken at each step, is one AND of its high and its low part mask.  With
+ids below 256 that keeps at most 16 + 16 part masks, each one bit per
+packed symbol plus byte-aligned guard bits, however many distinct
+symbols the queries hold.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -226,32 +203,16 @@ def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:
 
 
 def lcs_len_bitparallel(a: SymbolSeq, b: SymbolSeq) -> int:
-    """Bit-vector LCS: one row state packed into a single big integer.
+    """Bit-vector LCS: the profile of the shorter input (``lcs_profile``)
+    run over the longer one.
 
-    The shorter input is laid out along the bits, with one match mask per
-    distinct symbol (``_match_masks``), and ``_advance`` runs one row
-    update per symbol of the longer input.  Python integers chunk the row
-    into machine words internally, so each update costs
-    O(ceil(min_len / wordsize)) word operations.  Zero bits in the final
-    row count matched positions.
+    Python integers chunk the row into machine words internally, so each
+    of the row updates, one per symbol of the longer input, costs
+    O(ceil(min_len / wordsize)) word operations.
     """
-    xs, ys = a.ids, b.ids
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    masks, full = _match_masks(xs)
-    return len(xs) - _advance(ys, masks.get, full).bit_count()
-
-
-def _match_masks(xs: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    """The match mask of each distinct symbol of xs, whose bit i is set
-    where xs[i] is that symbol, and the mask ``full`` of all len(xs) bits;
-    built in one pass over xs."""
-    masks: dict[int, int] = {}
-    bit = 1
-    for s in xs:
-        masks[s] = masks.get(s, 0) | bit
-        bit <<= 1
-    return masks, bit - 1
+    if len(a.ids) > len(b.ids):
+        a, b = b, a
+    return lcs_profile(a)(b)
 
 
 def _advance(
@@ -265,9 +226,10 @@ def _advance(
     performs the per-run merge the classic recurrence does cell by cell.
     The same update serves one string along the bits and every lane of
     the packed text that ``full`` selects.  ``mask_of`` gives a symbol's
-    mask: the ``get`` of a dict of prebuilt masks, or a function that
-    computes it at each step.  Symbols without a mask (None or 0) are
-    dropped by ``filter`` and ``map`` without a Python-level step.
+    mask: the ``get`` of the profile's dict of masks, or the function of
+    ``_stepped_masks`` that computes it at each step.  Symbols without a
+    mask (None or 0) are dropped by ``filter`` and ``map`` without a
+    Python-level step.
     """
     row = full
     for mask in filter(None, map(mask_of, ids)):
@@ -280,12 +242,18 @@ def lcs_profile(q: SymbolSeq) -> Callable[[SymbolSeq], int]:
     """The function s -> |lcs(q, s)|, equal to ``lcs_len(q, s)``.
 
     The query profile of database search (Rognes & Seeberg 2000): q lies
-    along the bits, and its match masks and ``full`` are built once, here,
-    for every string the function then meets.  Each string costs one row
-    update per symbol it shares with q.
+    along the bits, and the match mask of each distinct symbol of q (bit i
+    set where q[i] is that symbol) and the mask ``full`` of all |q| bits
+    are built once, here, in one pass over q, for every string the
+    function then meets.  Each string costs one row update per symbol it
+    shares with q; zero bits in the final row count matched positions.
     """
-    masks, full = _match_masks(q.ids)
-    mask_of, m = masks.get, len(q.ids)
+    masks: dict[int, int] = {}
+    bit = 1
+    for s in q.ids:
+        masks[s] = masks.get(s, 0) | bit
+        bit <<= 1
+    mask_of, full, m = masks.get, bit - 1, len(q.ids)
     return lambda s: m - _advance(s.ids, mask_of, full).bit_count()
 
 
@@ -361,10 +329,12 @@ def lcs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
 def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     """LCS lengths of q against every corpus string, in corpus order.
 
-    The packed form of the bit-parallel engine, one row over every lane,
-    whenever every id of q and the corpus is below 256, and q's profile
-    (``lcs_profile``) run over every string otherwise.  Whichever form
-    runs, each length equals ``lcs_len(q, s)``.
+    Whenever every id of q and the corpus is below 256, the packed form of
+    the bit-parallel engine: one row over every lane, its masks the part
+    masks of ``_stepped_masks``.  Otherwise q's profile (``lcs_profile``),
+    built once and run over every string, which on corpora of wide ids is
+    faster than the scalar engine pair by pair.  Whichever form runs, each
+    length equals ``lcs_len(q, s)``.
     """
     if not corpus:  # an empty packed text has no planes to build
         return []
@@ -416,7 +386,7 @@ _PLANES = [(_ZEROS[: 1 << k] + _ONES[: 1 << k]) * (128 >> k) for k in range(8)]
 # low lengths[j] bits; the first lane is the most significant.  The text
 # of the lanes has one byte per bit, so translating it to ASCII digits
 # gives a mask over every lane at once: a bit plane of the text, from
-# which ``_plane_masks`` builds each symbol's match mask.  A mask may
+# which ``_stepped_masks`` builds each symbol's match mask.  A mask may
 # have guard bits set (pad bytes are zero, like symbol 0), but the row's
 # guard bits stay clear, so u never has them: a carry out of a lane stops
 # in its first guard bit and is masked off by ``full``.  Lanes that
@@ -433,31 +403,18 @@ def _lcs_packed(
     """For each query (ids, start), its LCS lengths against the corpus
     strings from lane ``start`` on, one row of updates over the packed
     ``text`` of the corpus.  ``symbols`` holds every query id; all rows
-    share one mask source, chosen by the packing rule."""
+    share the part masks that ``_stepped_masks`` builds for them, and
+    with no query id at all no row has a mask to take."""
     lengths = [len(s.ids) for s in corpus]
     widths = [n // 8 + 1 for n in lengths]
     full = _packed_full(lengths, widths)
-    if len(symbols) * sum(widths) <= 8 * sum(lengths):
-        mask_of = _packed_masks(text, symbols).get
-    else:
-        mask_of = _stepped_masks(text, symbols)
+    mask_of = _stepped_masks(text, symbols) if symbols else {}.get
     rows = []
     for ids, start in queries:
         ws = widths[start:]
         part = full & ((1 << 8 * sum(ws)) - 1) if start else full
         rows.append(_packed_decode(_advance(ids, mask_of, part), part, ws))
     return rows
-
-
-def _packed_masks(lanes: bytes, symbols: Iterable[int]) -> dict[int, int]:
-    """The match mask over the packed text ``lanes`` of each symbol that
-    occurs in it, built from the text's bit planes (``_bit_planes``) by
-    ``_plane_masks``."""
-    symbols = list(symbols)
-    if not symbols:
-        return {}
-    root, planes = _bit_planes(lanes, max(symbols))
-    return _plane_masks(root, planes, symbols)
 
 
 def _stepped_masks(lanes: bytes, symbols: set[int]) -> Callable[[int], int]:

@@ -19,7 +19,7 @@ All functions are pure; a shared HarmonicTable may be used concurrently.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError
@@ -30,7 +30,6 @@ from .lcs import (
     is_subsequence,
     lcs_len,
     lcs_lens,
-    lcs_profile,
     lcs_rows,
 )
 
@@ -82,10 +81,11 @@ def distances(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[float]:
     takes no engine, since every engine gives the same distance, and no
     table: it reads the default table.
 
-    The knn scan and the vp-tree build run through here; the CLI's
-    ``matrix`` runs through ``distance_rows``.  A string equal to q gets
-    exactly 0.0 from the length formula itself: both harmonic spans are
-    empty.
+    The knn scan, the vp-tree build and each leaf that a vp-tree search
+    reaches run through here; a search's pivots go through ``distance``
+    and the CLI's ``matrix`` through ``distance_rows``.  A string equal
+    to q gets exactly 0.0 from the length formula itself: both harmonic
+    spans are empty.
     """
     table, la = default_table(), len(q.ids)
     return [
@@ -112,16 +112,6 @@ def distance_rows(seqs: Sequence[SymbolSeq]) -> list[array]:
         )
         for i, (la, row) in enumerate(zip(lens, lcs_rows(seqs)))
     ]
-
-
-def distance_profile(q: SymbolSeq) -> Callable[[SymbolSeq], float]:
-    """The function s -> ``distance(q, s)``, bit for bit.
-
-    It runs q's LCS profile (``lcs_profile``), built once here, and the
-    length formula, which gives exactly 0.0 for a string equal to q.
-    """
-    table, lcs, la = default_table(), lcs_profile(q), len(q.ids)
-    return lambda s: _distance_from_lengths(la, len(s.ids), lcs(s), table)
 
 
 def distance_decomposed(

@@ -17,9 +17,9 @@ no node links are stored.
 
 Leaves are buckets of up to LEAF_SIZE = 64 lines, and a query takes each
 leaf it reaches in one packed ``distances`` call, whose per-pair cost is
-a fraction of that of the query profile a pivot goes through.  Coarser
-leaves prune less: a knn query of the benchmark's short-dense corpus
-evaluates about 88 % of it against 82 % with 8-line leaves, and the
+a fraction of that of the scalar ``distance`` a pivot goes through.
+Coarser leaves prune less: a knn query of the benchmark's short-dense
+corpus evaluates about 88 % of it against 82 % with 8-line leaves, and the
 long-sparse corpus is scanned whole either way.  In a leaf-size sweep on
 both corpora (8 to 256, seed 1, 2-core x86-64, medians of 15), going from
 8 to 64 cut the build to 0.38-0.53 of its time and a loaded knn query to
@@ -59,7 +59,7 @@ except ImportError:
 
 from .errors import IndexFormatError
 from .lcs import SymbolSeq
-from .metric import distance_profile, distances
+from .metric import distance, distances
 
 LEAF_SIZE = 64
 PRUNE_MARGIN = 1e-9
@@ -236,15 +236,14 @@ class VpTree:
         """Hand every leaf element i that may lie within ``bound()`` of q to
         ``offer(i, d(q, i))``; return how many distances were evaluated.
 
-        A pivot's distance comes from q's profile, one at a time, since it
-        decides which child is searched first.  A leaf takes the distances
-        of all its elements not yet evaluated in one ``distances`` call,
-        then offers every element in leaf order.  Each distance is
-        evaluated at most once per query, so a pivot that also sits in a
-        leaf below it costs one evaluation.
+        A pivot's distance comes from the scalar ``distance``, one at a
+        time, since it decides which child is searched first.  A leaf
+        takes the distances of all its elements not yet evaluated in one
+        ``distances`` call, then offers every element in leaf order.  Each
+        distance is evaluated at most once per query, so a pivot that also
+        sits in a leaf below it costs one evaluation.
         """
         corpus, order, pivots, radii = self.corpus, self.order, self.pivots, self.radii
-        to_q = distance_profile(q)
         cache: dict[int, float] = {}
 
         # Entries are (lo, hi, parent's pivot distance, parent's radius,
@@ -274,7 +273,7 @@ class VpTree:
             pivot, radius = pivots[p], radii[p]
             dp = cache.get(pivot)
             if dp is None:
-                dp = cache[pivot] = to_q(corpus[pivot])
+                dp = cache[pivot] = distance(q, corpus[pivot])
             inside = (lo, p, dp, radius, True)
             outside = (p, hi, dp, radius, False)
             # the side holding q is pushed last, so it is searched first

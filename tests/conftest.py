@@ -1,6 +1,6 @@
 """Let the harmdist processes that tests start import this checkout's src/,
 as the tests themselves do through ``pythonpath`` in pyproject.toml, and
-spy on the packed LCS kernel, its mask sources and the query profile."""
+spy on the packed LCS kernel, its mask source and the query profile."""
 
 import importlib
 import os
@@ -34,9 +34,10 @@ def packed_calls(monkeypatch):
 
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Record each mask source the packed kernel builds, prebuilt masks or
-    stepped part masks: the packed text, the number of mask sets built from
-    its planes (one prebuilt, two stepped), and the bytes they hold."""
+    """Record each mask source the packed kernel builds, the part masks of
+    ``_stepped_masks``: the packed text, the number of mask sets built from
+    its planes (two: the high and the low parts), and the bytes they
+    hold."""
     calls = []
     plane_masks = lcs_mod._plane_masks
 
@@ -46,24 +47,23 @@ def mask_calls(monkeypatch):
         calls[-1][2] += sum((mask.bit_length() + 7) // 8 for mask in masks.values())
         return masks
 
-    def spying(source):
-        def spy(text, symbols):
-            calls.append([text, 0, 0])
-            return source(text, symbols)
+    stepped_masks = lcs_mod._stepped_masks
 
-        return spy
+    def spy(text, symbols):
+        calls.append([text, 0, 0])
+        return stepped_masks(text, symbols)
 
     monkeypatch.setattr(lcs_mod, "_plane_masks", counted)
-    for name in ("_packed_masks", "_stepped_masks"):
-        monkeypatch.setattr(lcs_mod, name, spying(getattr(lcs_mod, name)))
+    monkeypatch.setattr(lcs_mod, "_stepped_masks", spy)
     return calls
 
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Record each profile ``lcs_lens`` builds, by the number of strings
-    it then measures; ``lcs_rows`` reaches profiles only through
-    ``lcs_lens``."""
+    """Record each profile built, by the number of strings it then
+    measures: one string for each scalar ``lcs_len_bitparallel`` pair, and
+    the corpus for each ``lcs_lens`` fallback; ``lcs_rows`` reaches
+    profiles only through ``lcs_lens``."""
     calls = []
     real = lcs_mod.lcs_profile
 

@@ -305,8 +305,7 @@ def _wide_lines(n, seed):
 def _sparse_lines(n, seed):
     # 200 code points and 100-400 of them a line, as in the benchmark's
     # long-sparse corpus: ids stay below 256, so every call packs, and a
-    # line has too many distinct symbols for lcs_lens to prebuild a mask
-    # each within its budget
+    # line has many distinct symbols
     rng = random.Random(seed)
     return [
         "".join(chr(0x100 + rng.randrange(200)) for _ in range(rng.randint(100, 400)))
@@ -390,7 +389,7 @@ def test_matrix_takes_each_row_in_one_call(
 ):
     # With ids below 256, matrix packs the slice once and runs each row
     # over the lanes after its own line, every row sharing one mask source
-    # (prebuilt masks on acgt, part masks on the sparse lines); with an id
+    # (the part masks, on acgt and on the sparse lines alike); with an id
     # of 256 or more each row goes to lcs_lens, which runs these wide
     # rows' profiles over the lines after them.
     from harmdist import cli

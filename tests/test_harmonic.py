@@ -210,6 +210,34 @@ def test_exact_capacity_guard():
         harmonic_exact(EXACT_LIMIT + 1)
 
 
+def test_concurrent_exact_growth_keeps_every_entry(monkeypatch):
+    # four threads grow a cleared cache at once; an unlocked read-then-append
+    # would add some H_k twice and shift every later entry
+    n = 400
+    expected = [rational_harmonic(k) for k in range(n + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(hmod, "_exact_cache", [])
+            barrier = threading.Barrier(4)
+            results = []
+
+            def work():
+                barrier.wait(timeout=30)
+                results.append(harmonic_exact(n))
+
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert results == [expected[n]] * 4
+            assert list(hmod._exact_cache) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- lazy growth -----------------------------------------------------------------
 
 #: SHA-256 of the little-endian bytes of all 2^20 + 1 entries, as built in

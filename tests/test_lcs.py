@@ -150,11 +150,17 @@ def test_query_adding_the_257th_symbol_takes_the_profile(packed_calls, profile_c
     assert all(type(s.ids) is bytes for s in corpus) and interner.alphabet_size == 256
     query = interner.seq(alphabet[5:40] + [chr(0x4E00)] + alphabet[90:99])
     assert type(query.ids) is tuple and 256 in query.ids
-    assert lcs_lens(query, corpus) == [lcs_len(query, s) for s in corpus]
+    # the scalar engine is one profile per pair
+    expected = [lcs_len(query, s) for s in corpus]
+    assert profile_calls == [1] * len(corpus)
+    profile_calls.clear()
+    assert lcs_lens(query, corpus) == expected
     assert packed_calls == [] and profile_calls == [len(corpus)]
     narrow = interner.seq(alphabet[:50])
-    assert lcs_lens(narrow, corpus) == [lcs_len(narrow, s) for s in corpus]
-    assert packed_calls == [len(corpus)] and profile_calls == [len(corpus)]
+    expected = [lcs_len(narrow, s) for s in corpus]
+    profile_calls.clear()
+    assert lcs_lens(narrow, corpus) == expected
+    assert packed_calls == [len(corpus)] and profile_calls == []
 
 
 # -- fixed examples -----------------------------------------------------------
@@ -349,46 +355,39 @@ def test_lcs_lens_ids_of_256_or_more_run_per_pair(packed_calls, profile_calls):
 
 
 def test_lcs_lens_query_with_many_distinct_symbols_packs(
-    packed_calls, profile_calls, monkeypatch
+    packed_calls, profile_calls, mask_calls
 ):
-    # a mask per distinct symbol would overrun the budget of 8 bytes an id,
-    # so each step's mask is the AND of two part masks; every mask kept for
-    # the row updates comes from _plane_masks
-    kept = []
-    real = lcs_mod._plane_masks
-
-    def spy(root, planes, values):
-        masks = real(root, planes, values)
-        kept.append(sum((mask.bit_length() + 7) // 8 for mask in masks.values()))
-        return masks
-
-    monkeypatch.setattr(lcs_mod, "_plane_masks", spy)
+    # every packed call takes its masks as one AND of two part masks, so
+    # a query with 100 distinct symbols keeps two mask sets, as one with
+    # 10 does, within the budget of 8 bytes an id
     rng = random.Random(5)
     corpus = [SymbolSeq(tuple(rng.randrange(200) for _ in range(40))) for _ in range(30)]
     budget = 8 * sum(map(len, corpus))
     text_bytes = sum(len(s) // 8 + 1 for s in corpus)
     many = SymbolSeq(tuple(range(100)))
-    assert 100 * text_bytes > budget
-    assert lcs_lens(many, corpus) == scalar_lens(many, corpus)
-    assert packed_calls == [30] and profile_calls == []
-    assert len(kept) == 2 and sum(kept) <= 32 * text_bytes <= budget
-    # few distinct symbols: one prebuilt mask each, within the budget
-    kept.clear()
     few = SymbolSeq(tuple(range(0, 200, 20)))
-    assert lcs_lens(few, corpus) == scalar_lens(few, corpus)
-    assert packed_calls == [30, 30] and profile_calls == []
-    assert len(kept) == 1 and sum(kept) <= 10 * text_bytes <= budget
-    # an id of 256 or more still runs the query's profile
+    for q in (many, few):
+        expected = scalar_lens(q, corpus)
+        profile_calls.clear()
+        assert lcs_lens(q, corpus) == expected
+        assert packed_calls[-1] == 30 and profile_calls == []
+        _, sets, held = mask_calls[-1]
+        assert sets == 2 and held <= 32 * text_bytes <= budget
+    assert len(mask_calls) == 2
+    # an id of 256 or more still runs the query's profile, built once
     wide = SymbolSeq((*many.ids, 256))
-    assert lcs_lens(wide, corpus) == scalar_lens(wide, corpus)
+    expected = scalar_lens(wide, corpus)
+    profile_calls.clear()
+    assert lcs_lens(wide, corpus) == expected
     assert packed_calls == [30, 30] and profile_calls == [30]
+    assert len(mask_calls) == 2
 
 
 @st.composite
 def wide_queries(draw):
-    # alphabets up to 256 ids and queries with 100 or more distinct symbols:
-    # a mask each would pass the budget, which never holds more than 64,
-    # so the packed form steps; lines come from a drawn seed, as in slices
+    # alphabets up to 256 ids and queries with 100 or more distinct symbols,
+    # each symbol's mask an AND of two of at most 16 + 16 part masks; lines
+    # come from a drawn seed, as in slices
     alphabet = draw(st.integers(100, 256))
     rng = random.Random(draw(st.integers(0, 2**32)))
     distinct = rng.sample(range(alphabet), rng.randint(100, alphabet))
@@ -443,8 +442,9 @@ def packed_texts(draw):
 def test_plane_masks_equal_one_translate_pass_per_symbol(case):
     text, symbols = case
     oracle = _translate_masks(text, symbols)
-    assert lcs_mod._packed_masks(text, symbols) == oracle
     if symbols:
+        root, planes = lcs_mod._bit_planes(text, max(symbols))
+        assert lcs_mod._plane_masks(root, planes, symbols) == oracle
         mask_of = lcs_mod._stepped_masks(text, symbols)
         assert {s: mask_of(s) for s in symbols} == {s: oracle.get(s, 0) for s in symbols}
 
@@ -463,8 +463,8 @@ def test_lcs_lens_matches_scalar_on_random_corpora(q, corpus):
 
 
 def _long_lines(n, seed, alphabet=200):
-    # long lines over a wide alphabet: a mask per symbol over the slice
-    # would overrun the budget, so the row form steps part masks
+    # long lines over a wide alphabet: many distinct symbols a row, and
+    # far more over the slice
     rng = random.Random(seed)
     return [
         SymbolSeq(tuple(rng.randrange(alphabet) for _ in range(rng.randint(100, 300))))
@@ -492,6 +492,8 @@ def slices(draw):
 @example(seqs=[seq("")])
 @example(seqs=[seq("gattaca")])
 @example(seqs=[seq(""), seq("acgt"), seq(""), seq("acgt"), seq("t"), seq("")])
+@example(seqs=[seq(""), seq(""), seq(""), seq("gattaca")])  # no row has a symbol
+@example(seqs=[SymbolSeq(bytes(n)) for n in (3, 0, 9, 1, 9)])  # one symbol, id 0
 @example(seqs=_long_lines(40, 9))
 @example(seqs=_long_lines(30, 4) + _long_lines(2, 4) + [SymbolSeq((256, 3))])
 @example(  # the only wide id in the first line: later rows pack or profile

@@ -18,7 +18,6 @@ from harmdist import (
     distances,
     harmonic,
 )
-from harmdist.metric import distance_profile
 from helpers import random_seq, seq, symbol_seqs
 
 TABLE = HarmonicTable(10_000)
@@ -185,7 +184,6 @@ def test_distances_equal_scalar_distance_on_the_criterion_7_corpus():
     for q in queries:
         expected = [distance(q, s) for s in corpus]
         assert distances(q, corpus) == expected
-        assert list(map(distance_profile(q), corpus)) == expected
 
 
 def test_distances_equal_scalar_distance_on_criterion_6_groups():
@@ -206,7 +204,6 @@ def test_distances_equal_scalar_distance_on_criterion_6_groups():
         got = distances(q, strings)
         assert got == [distance(q, s) for s in strings]
         assert got[0] == 0.0
-        assert list(map(distance_profile(q), strings)) == got
 
 
 def test_distances_with_a_table_and_an_engine():
@@ -215,12 +212,10 @@ def test_distances_with_a_table_and_an_engine():
     # the batched forms take no engine and read the default table; the
     # scalar form gives their values with each oracle engine and this table
     got = distances(q, corpus)
-    to_q = distance_profile(q)
-    assert [to_q(s) for s in corpus] == got
     for engine in ("auto", "dp", "huntszymanski"):
         assert [distance(q, s, table=TABLE, engine=engine) for s in corpus] == got
     assert distances(q, []) == []
-    assert distance_profile(seq(""))(seq("")) == 0.0
+    assert distances(seq(""), [seq("")]) == [0.0]
 
 
 def test_breakdown_is_an_immutable_value():

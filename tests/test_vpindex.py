@@ -53,10 +53,9 @@ def pairwise_distances(q, corpus):
     return [distance(q, s, engine="bitparallel") for s in corpus]
 
 
-def pairwise_profile(q):
-    """``metric.distance_profile`` pair by pair, through the scalar
-    bit-parallel engine."""
-    return lambda s: distance(q, s, engine="bitparallel")
+def oracle_distance(a, b):
+    """``metric.distance`` through the Hunt-Szymanski oracle engine."""
+    return distance(a, b, engine="huntszymanski")
 
 
 @pytest.fixture(scope="module")
@@ -128,11 +127,12 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeyp
     ).read_bytes()
 
 
-def test_profiled_search_equals_the_scalar_search(monkeypatch):
-    # the search takes each pivot's distance through the query's profile and
-    # each leaf's through one lcs_lens call, the fakes pair by pair; long
-    # lines over a wide alphabet pack the leaves, and ids of 256 and more
-    # send them through the profile that lcs_lens falls back to
+def test_search_equals_the_oracle_search(monkeypatch):
+    # the search takes each pivot's distance through the scalar distance and
+    # each leaf's through one lcs_lens call; the fakes go through an oracle
+    # engine and pair by pair.  Long lines over a wide alphabet pack the
+    # leaves, and ids of 256 and more send them through the profile that
+    # lcs_lens falls back to
     for corpus_of, hits in (
         (lambda seed, n: wide_alphabet_corpus(n, seed), 31),
         (lambda seed, n: make_corpus(n, seed=seed, alphabet=1_000), 35),
@@ -151,48 +151,44 @@ def test_profiled_search_equals_the_scalar_search(monkeypatch):
                 for r in (0.0, wide)
             ]
 
-        profiled = run_all()
+        searched = run_all()
         with monkeypatch.context() as m:
             m.setattr(vpindex, "distances", pairwise_distances)
-            m.setattr(vpindex, "distance_profile", pairwise_profile)
-            assert run_all() == profiled
+            m.setattr(vpindex, "distance", oracle_distance)
+            assert run_all() == searched
         # radius 0 prunes, and the wide radius finds the 31 lines around
         # query 2, and on the short wide-id lines 4 more tied with the 31st
-        assert sum(profiled[2][-1].evaluations) < len(queries) * len(corpus)
-        assert len(profiled[3][2]) == hits
+        assert sum(searched[2][-1].evaluations) < len(queries) * len(corpus)
+        assert len(searched[3][2]) == hits
 
 
 def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
     corpus = make_corpus(600, seed=6)
     tree = VpTree.build(corpus, seed=1)
-    leaves, stack = [], [(0, len(corpus))]
+    leaves, inner, stack = [], set(), [(0, len(corpus))]
     while stack:
         lo, hi = stack.pop()
         if hi - lo <= LEAF_SIZE:
             leaves.append(set(tree.order[lo:hi]))
         else:
             p = vpindex._split(lo, hi)
+            inner.add(tree.pivots[p])
             stack += ((lo, p), (p, hi))
     leaf_of = {i: j for j, leaf in enumerate(leaves) for i in leaf}
     index_of = {id(s): i for i, s in enumerate(corpus)}
     leaf_calls, pivot_calls = [], []
-    real_distances, real_profile = vpindex.distances, vpindex.distance_profile
+    real_distances, real_distance = vpindex.distances, vpindex.distance
 
     def distances(q, seqs):
         leaf_calls.append([index_of[id(s)] for s in seqs])
         return real_distances(q, seqs)
 
-    def distance_profile(q):
-        to_q = real_profile(q)
-
-        def spy(s):
-            pivot_calls.append(index_of[id(s)])
-            return to_q(s)
-
-        return spy
+    def distance(q, s):
+        pivot_calls.append(index_of[id(s)])
+        return real_distance(q, s)
 
     monkeypatch.setattr(vpindex, "distances", distances)
-    monkeypatch.setattr(vpindex, "distance_profile", distance_profile)
+    monkeypatch.setattr(vpindex, "distance", distance)
     rng = random.Random(8)
     visits = []
     for q in [random_seq(rng, 4, 48) for _ in range(3)] + [corpus[5], corpus[400]]:
@@ -200,8 +196,11 @@ def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
         for calls in (packed_calls, leaf_calls, pivot_calls):
             calls.clear()
         assert tree.knn(q, 10) == expected
-        # one packed call per leaf reached, over that leaf's lines that no
-        # pivot above it has evaluated, and no line evaluated twice
+        # each pivot reached once through distance, one packed call per leaf
+        # reached, over that leaf's lines that no pivot above it has
+        # evaluated, and no line evaluated twice
+        assert pivot_calls and set(pivot_calls) <= inner
+        assert len(set(pivot_calls)) == len(pivot_calls)
         assert packed_calls == [len(lanes) for lanes in leaf_calls]
         visited = [leaf_of[lanes[0]] for lanes in leaf_calls]
         assert len(set(visited)) == len(visited)
@@ -214,6 +213,43 @@ def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
         visits.append(len(visited))
     # the searches reach several leaves, and some prune leaves away
     assert min(visits) > 1 and min(visits) < len(leaves)
+
+
+def test_criterion_7_evaluation_counts_are_pinned(monkeypatch):
+    # the acceptance suite's seeded corpus and queries (criterion 7): every
+    # distance a search evaluates goes once through distance (a pivot) or
+    # distances (a leaf), and the scanned fractions are 0.686 (knn) and
+    # 0.543 (range)
+    rng = random.Random(77)
+    corpus = [random_seq(rng, 4, 64) for _ in range(2_000)]
+    queries = [random_seq(rng, 4, 64) for _ in range(50)]
+    tree = VpTree.build(corpus, seed=7)
+    calls = []
+    real_distances, real_distance = vpindex.distances, vpindex.distance
+
+    def distances(q, seqs):
+        calls.extend(seqs)
+        return real_distances(q, seqs)
+
+    def distance(q, s):
+        calls.append(s)
+        return real_distance(q, s)
+
+    monkeypatch.setattr(vpindex, "distances", distances)
+    monkeypatch.setattr(vpindex, "distance", distance)
+    knn = tree.stats(queries, k=10)
+    assert len(calls) == sum(knn.evaluations) == 68_614
+    assert knn.evaluations[:10] == (
+        1565, 1752, 1690, 1565, 1690, 501, 1565, 1439, 1503, 128
+    )
+    assert round(knn.mean_fraction_scanned, 3) == 0.686
+    calls.clear()
+    near = tree.stats(queries, radius=0.3)
+    assert len(calls) == sum(near.evaluations) == 54_302
+    assert near.evaluations[:10] == (
+        1254, 1380, 1441, 1503, 1380, 190, 1378, 1003, 1005, 128
+    )
+    assert round(near.mean_fraction_scanned, 3) == 0.543
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):

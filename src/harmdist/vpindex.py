@@ -7,13 +7,15 @@ decisions carry a safety margin of PRUNE_MARGIN so float rounding can
 never cause a false prune; query results are therefore exactly what a
 linear scan returns.
 
-The tree is three flat arrays of n slots.  ``order`` lists the corpus
-indices leaf by leaf, so every node owns a range ``order[lo:hi]``.  A
-range of more than LEAF_SIZE elements is an inner node; it splits at
-``_split(lo, hi)``, which depends on the range's size alone, and slot
-``p = _split(lo, hi)`` of ``pivots`` and ``radii`` holds its pivot and
-radius.  The tree's shape therefore follows from n and LEAF_SIZE, and
-no node links are stored.
+The tree is two flat arrays of n slots.  ``order`` lists the corpus
+indices so that every node owns a range ``order[lo:hi]``.  A range of
+more than LEAF_SIZE elements is an inner node: its pivot sits at
+``order[lo]`` and its radius at ``radii[lo]``, and its children are the
+inside range ``[lo + 1, p)`` and the outside range ``[p, hi)``, where
+``p = _split(lo, hi)`` depends on the range's size alone.  As in
+Yianilos's vantage-point tree (SODA 1993), a pivot is in neither child,
+so a query evaluates each element at most once.  The tree's shape
+follows from n and LEAF_SIZE, and no node links are stored.
 
 Leaves are buckets of up to LEAF_SIZE = 64 lines, and a query takes each
 leaf it reaches in one packed ``distances`` call, whose per-pair cost is
@@ -27,22 +29,27 @@ both corpora (8 to 256, seed 1, 2-core x86-64, medians of 15), going from
 about 15 % more at 128, while pruning kept falling: the acceptance
 suite's knn queries over 2,000 ``acgt`` lines (criterion 7) evaluate
 0.603 of them at 8, 0.686 at 64 and 0.749 at 128, and at 256 a
-short-dense query evaluates the whole corpus.
+short-dense query evaluates the whole corpus.  (That sweep kept each
+pivot in a leaf below it as well; with the pivot out of its children,
+criterion 7's knn queries evaluate 0.684 at 64.)
 
 Trees are immutable after ``build`` and safe for concurrent queries;
 building is single-threaded and fully determined by (corpus order, seed).
 
-Optional on-disk format, version 4 (little-endian): magic ``HVPT``,
-version u16, seed u64, a SHA-256 over the seed, the corpus (as in
-``corpus_fingerprint``) and the body, then the body: ``order`` as u32,
-``pivots`` as u32 and ``radii`` as f64, n of each.  Version 3 had the
-same layout for 8-line leaves; versions 1-3 are rejected.
+Optional on-disk format, version 5 (little-endian): magic ``HVPT``,
+version u16, seed u64, a SHA-256 over the seed, the corpus and the
+body, then the body: ``order`` as u32 and ``radii`` as f64, n of each.
+The corpus is hashed as its lengths (u64), then each string's ids at the
+narrowest width that holds them all: tagged ``B`` and a byte each below
+256, ``H`` and a u16 each below 65,536, else ``Q`` and a u64 each.
+Versions 1-4 are rejected.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
 import struct
 from array import array
@@ -65,14 +72,28 @@ LEAF_SIZE = 64
 PRUNE_MARGIN = 1e-9
 
 MAGIC = b"HVPT"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _HEADER = struct.Struct("<HQ32s")  # version, seed, digest
 
 
 def _split(lo: int, hi: int) -> int:
-    """Where the inner node over ``order[lo:hi]`` ends its inside child:
-    the pivot plus the lower half of the rest, median included."""
+    """Where the inner node over ``order[lo:hi]`` ends its inside child
+    ``[lo + 1, p)``: the lower half of the elements after the pivot,
+    median included."""
     return lo + (hi - lo - 2) // 2 + 2
+
+
+def _inner_nodes(n: int):
+    """Yield ``(lo, p, hi)`` for every inner node of a tree over n
+    elements, each before its children and the inside child's subtree
+    before the outside one's."""
+    stack = [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > LEAF_SIZE:
+            p = _split(lo, hi)
+            yield lo, p, hi
+            stack += ((p, hi), (lo + 1, p))
 
 
 def _hash_corpus(h, corpus):
@@ -84,18 +105,6 @@ def _hash_corpus(h, corpus):
             tag = "H" if max(s.ids) < 65536 else "Q"
             h.update(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
     return h
-
-
-def corpus_fingerprint(corpus) -> bytes:
-    """SHA-256 over the lengths and symbol ids of the corpus strings, the
-    only inputs the tree's distances depend on.
-
-    The lengths come first, as little-endian u64; then each string's ids
-    at the narrowest width that holds them all: tagged ``B`` and one byte
-    each below 256, ``H`` and a little-endian u16 each below 65,536, else
-    ``Q`` and a little-endian u64 each.
-    """
-    return _hash_corpus(sha256(), corpus).digest()
 
 
 def _digest(seed: int, corpus, body: bytes) -> bytes:
@@ -122,23 +131,21 @@ class PruningStats(NamedTuple):
 class VpTree:
     """A vantage-point tree over ``corpus``; ``build`` or ``load`` one.
 
-    Equal exactly when corpus, ``order``, ``pivots``, ``radii`` and
-    ``build_seed`` are.
+    Equal exactly when corpus, ``order``, ``radii`` and ``build_seed``
+    are.
     """
 
-    __slots__ = ("corpus", "order", "pivots", "radii", "build_seed")
+    __slots__ = ("corpus", "order", "radii", "build_seed")
 
     def __init__(
         self,
         corpus: tuple[SymbolSeq, ...],
-        order: array,  # 'I': corpus indices, leaf by leaf
-        pivots: array,  # 'I': slot _split(lo, hi) holds that node's pivot
-        radii: array,  # 'd': slot _split(lo, hi) holds that node's radius
+        order: array,  # 'I': corpus indices; slot lo holds an inner node's pivot
+        radii: array,  # 'd': slot lo holds that node's radius
         build_seed: int,
     ):
         self.corpus = corpus
         self.order = order
-        self.pivots = pivots
         self.radii = radii
         self.build_seed = build_seed
 
@@ -161,11 +168,11 @@ class VpTree:
         """Build a tree over the corpus.
 
         Pivots are seeded pseudo-random draws; the radius is the lower
-        median of the distances from the pivot to the node's remaining
-        elements, which follow the pivot inside when at or under the
-        radius (ties resolved by corpus index).  Splitting stops at
-        LEAF_SIZE elements.  Inside children are split before outside
-        ones, which fixes the order of the seeded draws.
+        median of the distances from the pivot to the node's other
+        elements, which go inside when at or under the radius (ties
+        resolved by corpus index).  Splitting stops at LEAF_SIZE
+        elements.  Inside children are split before outside ones, which
+        fixes the order of the seeded draws.
         """
         corpus = tuple(corpus)
         if not corpus:
@@ -175,24 +182,16 @@ class VpTree:
         rng = random.Random(seed)
         n = len(corpus)
         order = array("I", range(n))
-        pivots = array("I", bytes(4 * n))
         radii = array("d", bytes(8 * n))
-        stack = [(0, n)]
-        while stack:
-            lo, hi = stack.pop()
-            if hi - lo <= LEAF_SIZE:
-                continue
+        for lo, p, hi in _inner_nodes(n):
             members = order[lo:hi]
             pivot = members[rng.randrange(hi - lo)]
             rest = [i for i in members if i != pivot]
             ds = distances(corpus[pivot], [corpus[i] for i in rest])
             ranked = sorted(zip(ds, rest))
-            p = _split(lo, hi)
-            pivots[p] = pivot
-            radii[p] = ranked[p - lo - 2][0]
+            radii[lo] = ranked[p - lo - 2][0]
             order[lo:hi] = array("I", [pivot] + [i for _, i in ranked])
-            stack += ((p, hi), (lo, p))
-        return cls(corpus, order, pivots, radii, seed)
+        return cls(corpus, order, radii, seed)
 
     def range_query(self, q: SymbolSeq, r: float) -> set[int]:
         """Exactly the corpus indices within distance r of q."""
@@ -233,52 +232,40 @@ class VpTree:
         return [(i, d) for d, i in out], evaluated
 
     def _search(self, q: SymbolSeq, offer, bound) -> int:
-        """Hand every leaf element i that may lie within ``bound()`` of q to
+        """Hand every element i that may lie within ``bound()`` of q to
         ``offer(i, d(q, i))``; return how many distances were evaluated.
 
         A pivot's distance comes from the scalar ``distance``, one at a
-        time, since it decides which child is searched first.  A leaf
-        takes the distances of all its elements not yet evaluated in one
-        ``distances`` call, then offers every element in leaf order.  Each
-        distance is evaluated at most once per query, so a pivot that also
-        sits in a leaf below it costs one evaluation.
+        time, since it decides which child is searched first; a leaf
+        takes all of its distances in one ``distances`` call.  A pivot is
+        in neither of its children, so no distance is evaluated twice.
         """
-        corpus, order, pivots, radii = self.corpus, self.order, self.pivots, self.radii
-        cache: dict[int, float] = {}
-
-        # Entries are (lo, hi, parent's pivot distance, parent's radius,
-        # whether the range is the inside child); the prune bound is
-        # tested when an entry is popped, so it reflects every subtree
-        # searched before it.  The root has no parent and is never pruned.
-        stack: list[tuple[int, int, float, float, bool | None]] = [
-            (0, len(order), 0.0, 0.0, None)
-        ]
+        corpus, order, radii = self.corpus, self.order, self.radii
+        evaluated = 0
+        # Entries are (lo, hi, floor), floor a lower bound on d(q, x) over
+        # the range by the triangle inequality; it is tested against the
+        # bound when the entry is popped, so it reflects every subtree
+        # searched before it.
+        stack = [(0, len(order), -math.inf)]
         while stack:
-            lo, hi, dp, radius, is_inside = stack.pop()
-            if is_inside is not None:
-                r = bound()
-                if is_inside:
-                    if not dp - r <= radius + PRUNE_MARGIN:
-                        continue
-                elif not dp + r >= radius - PRUNE_MARGIN:
-                    continue
+            lo, hi, floor = stack.pop()
+            if floor > bound() + PRUNE_MARGIN:
+                continue
             if hi - lo <= LEAF_SIZE:
                 leaf = order[lo:hi]
-                new = [i for i in leaf if i not in cache]
-                cache.update(zip(new, distances(q, [corpus[i] for i in new])))
-                for i in leaf:
-                    offer(i, cache[i])
+                for i, d in zip(leaf, distances(q, [corpus[i] for i in leaf])):
+                    offer(i, d)
+                evaluated += hi - lo
                 continue
+            radius = radii[lo]
+            dp = distance(q, corpus[order[lo]])
+            offer(order[lo], dp)
+            evaluated += 1
             p = _split(lo, hi)
-            pivot, radius = pivots[p], radii[p]
-            dp = cache.get(pivot)
-            if dp is None:
-                dp = cache[pivot] = distance(q, corpus[pivot])
-            inside = (lo, p, dp, radius, True)
-            outside = (p, hi, dp, radius, False)
+            inside, outside = (lo + 1, p, dp - radius), (p, hi, radius - dp)
             # the side holding q is pushed last, so it is searched first
             stack += (outside, inside) if dp <= radius else (inside, outside)
-        return len(cache)
+        return evaluated
 
     def stats(
         self,
@@ -302,17 +289,12 @@ class VpTree:
         """Sweep every node and fail loudly on any structural breach."""
         n = len(self.corpus)
         if sorted(self.order) != list(range(n)):
-            raise ValueError("corpus elements are not partitioned across leaves")
-        stack = [(0, n)]
-        while stack:
-            lo, hi = stack.pop()
-            if hi - lo <= LEAF_SIZE:
-                continue
-            p = _split(lo, hi)
-            pivot, radius = self.corpus[self.pivots[p]], self.radii[p]
-            members = self.order[lo:hi]
+            raise ValueError("order is not a permutation of the corpus indices")
+        for lo, p, hi in _inner_nodes(n):
+            pivot, radius = self.corpus[self.order[lo]], self.radii[lo]
+            members = self.order[lo + 1 : hi]
             ds = distances(pivot, [self.corpus[i] for i in members])
-            for j, i, d in zip(range(lo, hi), members, ds):
+            for j, i, d in zip(range(lo + 1, hi), members, ds):
                 if j < p and d > radius:
                     raise ValueError(
                         f"inside element {i} at distance {d} exceeds radius {radius}"
@@ -322,27 +304,35 @@ class VpTree:
                         f"outside element {i} at distance {d} undercuts radius "
                         f"{radius}"
                     )
-            stack += ((p, hi), (lo, p))
 
     # ------------------------------------------------------------------
     # serialization
 
     def save(self, path) -> None:
+        """Write the tree to a temporary file beside ``path``, then move it
+        over ``path`` in one step, so no reader sees a partial file."""
         n = len(self.order)
-        body = struct.pack(f"<{n}I{n}I{n}d", *self.order, *self.pivots, *self.radii)
+        body = struct.pack(f"<{n}I{n}d", *self.order, *self.radii)
         digest = _digest(self.build_seed, self.corpus, body)
         header = _HEADER.pack(FORMAT_VERSION, self.build_seed, digest)
-        Path(path).write_bytes(MAGIC + header + body)
+        path = Path(path)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(MAGIC + header + body)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path, corpus) -> "VpTree":
         """Load a saved tree and bind it to the corpus it was built from.
 
         Rejects wrong magic, other format versions, a truncated header, a
-        body that is not 16 bytes per corpus string, a digest that does
+        body that is not 12 bytes per corpus string, a digest that does
         not match the seed, corpus and body, and, in a file whose digest
         matches, an ``order`` that is not a permutation of the corpus
-        indices, pivots outside the corpus and non-finite radii.
+        indices and non-finite radii.
         """
         corpus = tuple(corpus)
         data = Path(path).read_bytes()
@@ -360,9 +350,9 @@ class VpTree:
             raise IndexFormatError("truncated index header") from exc
         n = len(corpus)
         body = data[4 + _HEADER.size :]
-        if len(body) != 16 * n:
+        if len(body) != 12 * n:
             raise IndexFormatError(
-                f"index body holds {len(body)} bytes, not the {16 * n} of a "
+                f"index body holds {len(body)} bytes, not the {12 * n} of a "
                 f"corpus of {n} strings; delete the file so that it is rebuilt"
             )
         if digest != _digest(seed, corpus, body):
@@ -371,8 +361,7 @@ class VpTree:
                 "is damaged; delete the file so that it is rebuilt"
             )
         order = array("I", struct.unpack_from(f"<{n}I", body))
-        pivots = array("I", struct.unpack_from(f"<{n}I", body, 4 * n))
-        radii = array("d", struct.unpack_from(f"<{n}d", body, 8 * n))
+        radii = array("d", struct.unpack_from(f"<{n}d", body, 4 * n))
         ranks = sorted(order)
         if ranks != list(range(n)):
             if ranks[-1] >= n:
@@ -381,11 +370,9 @@ class VpTree:
             repeated = next(a for a, b in zip(ranks, ranks[1:]) if a == b)
             raise IndexFormatError(
                 f"order index {repeated} repeats and corpus index {missing} "
-                "is in no leaf"
+                "is absent"
             )
-        if max(pivots, default=0) >= n:
-            raise IndexFormatError(f"pivot {max(pivots)} outside the corpus")
         if not all(map(math.isfinite, radii)):
             bad = next(r for r in radii if not math.isfinite(r))
             raise IndexFormatError(f"index holds radius {bad}")
-        return cls(corpus, order, pivots, radii, seed)
+        return cls(corpus, order, radii, seed)

@@ -59,13 +59,9 @@ def corpus_bytes(corpus) -> bytes:
     return b"".join(chunks)
 
 
-def hvpt_bytes(corpus, order, pivots, radii, seed=0) -> bytes:
+def hvpt_bytes(corpus, order, radii, seed=0) -> bytes:
     """A hand-made index file over the corpus, with a valid digest."""
-    body = (
-        struct.pack(f"<{len(order)}I", *order)
-        + struct.pack(f"<{len(pivots)}I", *pivots)
-        + struct.pack(f"<{len(radii)}d", *radii)
-    )
+    body = struct.pack(f"<{len(order)}I{len(radii)}d", *order, *radii)
     seeded = struct.pack("<Q", seed) + corpus_bytes(corpus) + body
     header = struct.pack("<HQ32s", FORMAT_VERSION, seed, sha256(seeded).digest())
     return MAGIC + header + body
@@ -86,41 +82,35 @@ V2_INDEX_OF_12 = (
 )
 
 #: The arrays of an index over 12 strings, one leaf holding them all.
-_ORDER, _PIVOTS, _RADII = tuple(range(12)), (0,) * 12, (0.0,) * 12
+_ORDER, _RADII = tuple(range(12)), (0.0,) * 12
 
-#: A format-3 index file (format 4's layout, for a tree of 8-line leaves)
-#: holding the arrays above under a zeroed digest.
-V3_INDEX_OF_12 = (
-    MAGIC
-    + struct.pack("<HQ32s", 3, 0, bytes(32))
-    + struct.pack("<12I12I12d", *_ORDER, *_PIVOTS, *_RADII)
-)
+
+def _three_array_index(version: int) -> bytes:
+    """A file of formats 3 and 4 (order, pivots and radii, each pivot in
+    a leaf below it) holding one leaf with the whole corpus under a zeroed
+    digest."""
+    return (
+        MAGIC
+        + struct.pack("<HQ32s", version, 0, bytes(32))
+        + struct.pack("<12I12I12d", *_ORDER, *(0,) * 12, *_RADII)
+    )
+
+
+#: Format 3 had 8-line leaves, format 4 the 64-line leaves of format 5.
+V3_INDEX_OF_12 = _three_array_index(3)
+V4_INDEX_OF_12 = _three_array_index(4)
 
 #: Index files over a 12-string corpus that must be rejected although
-#: their digests match, each as (order, pivots, radii) and a pattern of
-#: the error naming its own defect: an index outside the corpus in
-#: ``order``, index 0 listed twelve times, index 11 missing, a pivot
-#: outside the corpus, a NaN radius, a body short or long by one slot.
-#: The 12 strings make one leaf, whose node uses no pivot or radius slot;
-#: ``load`` checks every slot all the same.
+#: their digests match, each as (order, radii) and a pattern of the error
+#: naming its own defect: an index outside the corpus in ``order``, index
+#: 0 listed twelve times, index 11 missing, a NaN radius, a body short or
+#: long by one slot.  The 12 strings make one leaf, whose node uses no
+#: radius slot; ``load`` checks every slot all the same.
 BAD_INDEXES_OF_12 = {
-    "leaf-out-of-range": (
-        (tuple(range(11)) + (12,), _PIVOTS, _RADII), "order index 12 outside"
-    ),
-    "repeated-index": (((0,) * 12, _PIVOTS, _RADII), "order index 0 repeats"),
-    "missing-index": (
-        (tuple(range(11)) + (10,), _PIVOTS, _RADII), "corpus index 11 is in no leaf"
-    ),
-    "pivot-out-of-range": (
-        (_ORDER, _PIVOTS[:7] + (999,) + _PIVOTS[8:], _RADII), "pivot 999 outside"
-    ),
-    "nan-radius": (
-        (_ORDER, _PIVOTS, _RADII[:7] + (math.nan,) + _RADII[8:]), "radius nan"
-    ),
-    "short-body": (
-        (_ORDER[:11], _PIVOTS[:11], _RADII[:11]), "holds 176 bytes, not the 192"
-    ),
-    "long-body": (
-        (_ORDER + (0,), _PIVOTS + (0,), _RADII + (0.0,)), "holds 208 bytes, not the 192"
-    ),
+    "leaf-out-of-range": ((tuple(range(11)) + (12,), _RADII), "order index 12 outside"),
+    "repeated-index": (((0,) * 12, _RADII), "order index 0 repeats"),
+    "missing-index": ((tuple(range(11)) + (10,), _RADII), "corpus index 11 is absent"),
+    "nan-radius": ((_ORDER, _RADII[:7] + (math.nan,) + _RADII[8:]), "radius nan"),
+    "short-body": ((_ORDER[:11], _RADII[:11]), "holds 132 bytes, not the 144"),
+    "long-body": ((_ORDER + (0,), _RADII + (0.0,)), "holds 156 bytes, not the 144"),
 }

@@ -12,6 +12,7 @@ from helpers import (
     V1_INDEX_OF_12,
     V2_INDEX_OF_12,
     V3_INDEX_OF_12,
+    V4_INDEX_OF_12,
     hvpt_bytes,
     interned,
 )
@@ -438,8 +439,11 @@ def test_knn_rejects_index_that_does_not_partition_the_corpus(tmp_path, case):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("".join(f"{line}\n" for line in lines))
     index = tmp_path / "bad.hvpt"
-    index.write_bytes(hvpt_bytes(interned(lines), *BAD_INDEXES_OF_12[case][0]))
-    assert_rejected(run("knn", str(corpus), "line3", "--k", "3", "--index", str(index)))
+    arrays, defect = BAD_INDEXES_OF_12[case]
+    index.write_bytes(hvpt_bytes(interned(lines), *arrays))
+    r = run("knn", str(corpus), "line3", "--k", "3", "--index", str(index))
+    assert_rejected(r)
+    assert defect.encode() in r.stderr
 
 
 def test_knn_rejects_a_version_1_index(tmp_path):
@@ -470,6 +474,17 @@ def test_knn_rejects_a_version_3_index(tmp_path):
     r = run("knn", str(corpus), "line3", "--index", str(index))
     assert_rejected(r)
     assert b"version 3" in r.stderr
+    assert b"delete the file so that it is rebuilt" in r.stderr
+
+
+def test_knn_rejects_a_version_4_index(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"line{i}\n" for i in range(12)))
+    index = tmp_path / "v4.hvpt"
+    index.write_bytes(V4_INDEX_OF_12)
+    r = run("knn", str(corpus), "line3", "--index", str(index))
+    assert_rejected(r)
+    assert b"version 4" in r.stderr
     assert b"delete the file so that it is rebuilt" in r.stderr
 
 

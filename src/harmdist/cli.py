@@ -17,6 +17,7 @@ so results diff cleanly across runs and platforms.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -313,6 +314,11 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"harmdist: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader has gone: say nothing, and point stdout at the
+        # null device so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except OSError as exc:
         print(f"harmdist: {exc}", file=sys.stderr)
         return EXIT_IO

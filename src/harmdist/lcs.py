@@ -13,10 +13,10 @@ one.  One row update, ``_advance``, serves it in two forms:
 * packed: many strings, each one lane of a single packed integer, so one
   row update per query symbol advances every pair at once.  One kernel,
   ``_lcs_packed``, runs a list of queries over one packed text, each
-  from its own start lane, all sharing one mask source; a row's ``full``
-  alone selects the lanes it advances.  ``lcs_lens(q, corpus)`` is one
-  row over every lane, for the knn scan and the vp-tree's build and
-  leaves.
+  from its own start lane, all reading their masks from one source; a
+  row's ``full`` alone selects the lanes it advances.
+  ``lcs_lens(q, corpus)`` is one row over every lane, for the knn scan
+  and the vp-tree's build and leaves.
   ``lcs_rows(seqs)`` packs a slice once and runs row i over the lanes
   after lane i, for the CLI's ``matrix``.  A slice that does not pack
   goes row by row to ``lcs_lens``.
@@ -38,18 +38,24 @@ whenever every sequence holds its ids as ``bytes`` (a lane is then pad
 bytes and one reversed slice of them); an id of 256 or more sends
 ``lcs_lens`` to q's profile.
 
-Packed masks.  One source serves every packed row update: the part masks
-of ``_stepped_masks``, built once per packed text.  They come from the
+Packed masks.  Every packed mask comes from the part masks of
+``_stepped_masks``, built once per packed text.  They come from the
 text's bit planes: plane k marks the bytes whose bit k is set, one
 ``translate`` and one ``int(..., 2)`` pass over the text, and at most 8
 planes (as many as the largest query id has bits).  A part mask selects
 the bytes whose high (or low) half of the bits equals one value: the AND
 of each plane of that half or its complement, and a high part mask also
-clears the bytes with a bit set above the planes.  A symbol's mask,
-taken at each step, is one AND of its high and its low part mask.  With
-ids below 256 that keeps at most 16 + 16 part masks, each one bit per
-packed symbol plus byte-aligned guard bits, however many distinct
-symbols the queries hold.
+clears the bytes with a bit set above the planes.  A symbol's mask is
+one AND of its high and its low part mask.  With ids below 256 that
+keeps at most 16 + 16 part masks, each one bit per packed symbol plus
+byte-aligned guard bits, however many distinct symbols the queries hold.
+``lcs_lens`` takes that AND at each step: its one row uses a mask once
+or a few times.  The rows of ``lcs_rows`` share one table of the masks
+of their symbols, each one AND, built once per slice and read through
+the table's ``dict.get``; on a slice of long lines each mask serves
+about 180 steps.  The table holds at most 256 masks, so at most 32
+bytes per packed symbol, guard bits included, on top of the part
+masks.
 
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
@@ -226,7 +232,8 @@ def _advance(
     performs the per-run merge the classic recurrence does cell by cell.
     The same update serves one string along the bits and every lane of
     the packed text that ``full`` selects.  ``mask_of`` gives a symbol's
-    mask: the ``get`` of the profile's dict of masks, or the function of
+    mask: the ``get`` of a dict of masks (the profile's, or the table
+    the rows of ``lcs_rows`` share), or the function of
     ``_stepped_masks`` that computes it at each step.  Symbols without a
     mask (None or 0) are dropped by ``filter`` and ``map`` without a
     Python-level step.
@@ -340,7 +347,8 @@ def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
         return []
     if type(q.ids) is bytes and _packs(corpus):
         text = b"".join([_lane(s) for s in corpus])
-        return _lcs_packed([(q.ids, 0)], set(q.ids), corpus, text)[0]
+        mask_of = _stepped_masks(text, set(q.ids))
+        return _lcs_packed([(q.ids, 0)], mask_of, corpus, text)[0]
     return list(map(lcs_profile(q), corpus))
 
 
@@ -350,9 +358,12 @@ def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
     empty.
 
     With every id below 256 the slice is packed once, and row i is one
-    row of the packed form over the lanes after lane i, all rows sharing
-    one mask source.  Any other slice runs ``lcs_lens`` row by row.
-    Whichever form runs, each length equals ``lcs_len(seqs[i], seqs[j])``.
+    row of the packed form over the lanes after lane i.  All rows read
+    one table: the match mask of each symbol of the rows before the last,
+    one AND of its part masks from ``_stepped_masks``, zero masks
+    dropped.  Every symbol in it occurs in some row, so it costs no more
+    ANDs than stepping would.  Any other slice runs ``lcs_lens`` row by
+    row.  Whichever form runs, each length equals ``lcs_len(seqs[i], seqs[j])``.
     """
     if len(seqs) < 2:
         return [[] for _ in seqs]
@@ -361,7 +372,9 @@ def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
     text = b"".join([_lane(s) for s in seqs])
     queries = [(q.ids, i + 1) for i, q in enumerate(seqs[:-1])]
     symbols = set().union(*[q.ids for q in seqs[:-1]])
-    return _lcs_packed(queries, symbols, seqs, text) + [[]]
+    stepped = _stepped_masks(text, symbols)
+    table = {s: mask for s in symbols if (mask := stepped(s))}
+    return _lcs_packed(queries, table.get, seqs, text) + [[]]
 
 
 def _packs(seqs: Sequence[SymbolSeq]) -> bool:
@@ -395,20 +408,19 @@ _PLANES = [(_ZEROS[: 1 << k] + _ONES[: 1 << k]) * (128 >> k) for k in range(8)]
 
 
 def _lcs_packed(
-    queries: list[tuple[tuple[int, ...], int]],
-    symbols: set[int],
+    queries: list[tuple[bytes, int]],
+    mask_of: Callable[[int], int | None],
     corpus: Sequence[SymbolSeq],
     text: bytes,
 ) -> list[list[int]]:
     """For each query (ids, start), its LCS lengths against the corpus
     strings from lane ``start`` on, one row of updates over the packed
-    ``text`` of the corpus.  ``symbols`` holds every query id; all rows
-    share the part masks that ``_stepped_masks`` builds for them, and
-    with no query id at all no row has a mask to take."""
+    ``text`` of the corpus.  Every row takes its masks from ``mask_of``,
+    which gives each query id's match mask over the whole text: the
+    function of ``_stepped_masks``, or the ``get`` of a table of masks."""
     lengths = [len(s.ids) for s in corpus]
     widths = [n // 8 + 1 for n in lengths]
     full = _packed_full(lengths, widths)
-    mask_of = _stepped_masks(text, symbols) if symbols else {}.get
     rows = []
     for ids, start in queries:
         ws = widths[start:]
@@ -417,13 +429,16 @@ def _lcs_packed(
     return rows
 
 
-def _stepped_masks(lanes: bytes, symbols: set[int]) -> Callable[[int], int]:
+def _stepped_masks(lanes: bytes, symbols: set[int]) -> Callable[[int], int | None]:
     """The function s -> the match mask of s over the packed text
-    ``lanes`` (0 where s does not occur), computed at each step as one AND
+    ``lanes`` (0 where s does not occur), computed at each call as one AND
     of two part masks: one for the high half of the id's bits and one for
     the low half, each prebuilt for the halves the symbols have.  With
     ids below 256 that is at most 16 + 16 part masks, however many
-    distinct symbols there are."""
+    distinct symbols there are.  With no symbols no step has a mask, and
+    the function is ``{}.get``."""
+    if not symbols:  # an empty set has no planes to build
+        return {}.get
     root, planes = _bit_planes(lanes, max(symbols))
     h = len(planes) // 2
     low = (1 << h) - 1

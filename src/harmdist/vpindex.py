@@ -20,18 +20,20 @@ follows from n and LEAF_SIZE, and no node links are stored.
 Leaves are buckets of up to LEAF_SIZE = 64 lines, and a query takes each
 leaf it reaches in one packed ``distances`` call, whose per-pair cost is
 a fraction of that of the scalar ``distance`` a pivot goes through.
-Coarser leaves prune less: a knn query of the benchmark's short-dense
-corpus evaluates about 88 % of it against 82 % with 8-line leaves, and the
-long-sparse corpus is scanned whole either way.  In a leaf-size sweep on
-both corpora (8 to 256, seed 1, 2-core x86-64, medians of 15), going from
-8 to 64 cut the build to 0.38-0.53 of its time and a loaded knn query to
-0.35-0.41.  Beyond 64 the build kept falling but the search gained only
-about 15 % more at 128, while pruning kept falling: the acceptance
-suite's knn queries over 2,000 ``acgt`` lines (criterion 7) evaluate
-0.603 of them at 8, 0.686 at 64 and 0.749 at 128, and at 256 a
-short-dense query evaluates the whole corpus.  (That sweep kept each
-pivot in a leaf below it as well; with the pivot out of its children,
-criterion 7's knn queries evaluate 0.684 at 64.)
+Coarser leaves prune less.  In a leaf-size sweep on the benchmark's two
+corpora (8 to 256, seed 1, 2-core x86-64, medians of 15), a knn query
+evaluated about 88 % of the short-dense corpus at 64 against 82 % at 8,
+and the whole long-sparse corpus at both.  Going from 8 to 64 cut the
+build to 0.38-0.53 of its time and a loaded knn query to 0.35-0.41.
+Beyond 64 the build kept falling but the search gained only about 15 %
+more at 128, while pruning kept falling: the acceptance suite's knn
+queries over 2,000 ``acgt`` lines (criterion 7) evaluate 0.603 of them
+at 8, 0.686 at 64 and 0.749 at 128, and at 256 a short-dense query
+evaluates the whole corpus.  That sweep kept each pivot in a leaf below
+it as well.  With the pivot out of its children, criterion 7's knn
+queries evaluate 0.684 at 64, and over the benchmark's seed-1 queries a
+knn query evaluates 0.876 of short-dense and 0.917 of long-sparse, a
+range query 0.740 and 0.917 (``VpTree.stats``).
 
 Trees are immutable after ``build`` and safe for concurrent queries;
 building is single-threaded and fully determined by (corpus order, seed).
@@ -53,6 +55,7 @@ import os
 import random
 import struct
 from array import array
+from contextlib import suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -310,7 +313,8 @@ class VpTree:
 
     def save(self, path) -> None:
         """Write the tree to a temporary file beside ``path``, then move it
-        over ``path`` in one step, so no reader sees a partial file."""
+        over ``path`` in one step, so no reader sees a partial file.  An
+        OSError on the temporary file names ``path`` instead."""
         n = len(self.order)
         body = struct.pack(f"<{n}I{n}d", *self.order, *self.radii)
         digest = _digest(self.build_seed, self.corpus, body)
@@ -320,8 +324,12 @@ class VpTree:
         try:
             tmp.write_bytes(MAGIC + header + body)
             os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
+        except BaseException as exc:
+            # a failed unlink must not hide the error that brought us here
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == str(tmp):
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
             raise
 
     @classmethod

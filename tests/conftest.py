@@ -16,17 +16,30 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 lcs_mod = importlib.import_module("harmdist.lcs")
 
 
+class PackedCalls(list):
+    """The rows the packed kernel ran, by the number of lanes each
+    advances, and in ``sources`` the mask source of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.sources = []
+
+
 @pytest.fixture
 def packed_calls(monkeypatch):
     """Record each row the packed kernel runs, by the number of lanes it
     advances: a one-query call is one row over every lane, and a slice of
-    n lines is n - 1 rows, each over the lanes after its own line."""
-    calls = []
+    n lines is n - 1 rows, each over the lanes after its own line.  Each
+    call's ``mask_of`` goes to ``calls.sources``: the stepping function of
+    ``_stepped_masks``, or the ``get`` of a table, whose dict is its
+    ``__self__``."""
+    calls = PackedCalls()
     real = lcs_mod._lcs_packed
 
-    def spy(queries, symbols, corpus, text):
+    def spy(queries, mask_of, corpus, text):
         calls.extend(len(corpus) - start for _, start in queries)
-        return real(queries, symbols, corpus, text)
+        calls.sources.append(mask_of)
+        return real(queries, mask_of, corpus, text)
 
     monkeypatch.setattr(lcs_mod, "_lcs_packed", spy)
     return calls
@@ -34,10 +47,11 @@ def packed_calls(monkeypatch):
 
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Record each mask source the packed kernel builds, the part masks of
-    ``_stepped_masks``: the packed text, the number of mask sets built from
-    its planes (two: the high and the low parts), and the bytes they
-    hold."""
+    """Record each build of the part masks of ``_stepped_masks``, which
+    ``lcs_lens`` steps through and from which ``lcs_rows`` builds its
+    table of masks: the packed text, the number of mask sets built from
+    its planes (two: the high and the low parts), and the bytes they hold.
+    The table's own masks are not counted here."""
     calls = []
     plane_masks = lcs_mod._plane_masks
 

@@ -389,8 +389,8 @@ def test_matrix_takes_each_row_in_one_call(
     lines, calls, mask_calls, packed_calls, profile_calls, tmp_path, capsys
 ):
     # With ids below 256, matrix packs the slice once and runs each row
-    # over the lanes after its own line, every row sharing one mask source
-    # (the part masks, on acgt and on the sparse lines alike); with an id
+    # over the lanes after its own line, every row sharing one table of
+    # masks (on acgt and on the sparse lines alike); with an id
     # of 256 or more each row goes to lcs_lens, which runs these wide
     # rows' profiles over the lines after them.
     from harmdist import cli
@@ -404,11 +404,28 @@ def test_matrix_takes_each_row_in_one_call(
     rows = list(range(len(lines) - 1, 0, -1))
     assert (packed_calls, profile_calls) == ((rows, []) if calls else ([], rows))
     assert len(mask_calls) == calls
-    # the mask source reads the whole slice, and the masks it keeps stay
-    # within the budget of 8 bytes a symbol
+    # the part masks are built from the whole slice and stay within the
+    # budget of 8 bytes a symbol; the rows' table adds one mask per
+    # distinct symbol on top of them
     for text, _, held in mask_calls:
         assert text == b"".join(map(_lane, seqs))
         assert held <= 8 * sum(map(len, seqs))
+
+
+def test_matrix_into_a_closed_pipe_exits_quietly(tmp_path):
+    # the reader takes one line of a 1.3 MB matrix and goes away: matrix
+    # exits with code 2 and writes nothing to stderr, neither a message
+    # nor a traceback from the flush at exit
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(_acgt_lines(300, 3)) + "\n")
+    proc = subprocess.Popen(
+        PKG + ["matrix", str(corpus)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == ("\t".join(map(str, range(300))) + "\n").encode()
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
 
 
 def test_knn_index_file_roundtrip(corpus_file, tmp_path):
@@ -418,6 +435,17 @@ def test_knn_index_file_roundtrip(corpus_file, tmp_path):
     assert index.exists()
     second = run("knn", str(corpus_file), "cherry", "--k", "2", "--index", str(index))
     assert second.stdout == first.stdout
+
+
+def test_knn_index_in_a_missing_directory_names_its_path(corpus_file, tmp_path):
+    # the error names PATH, not the temporary file written beside it, and
+    # nothing is left behind
+    index = tmp_path / "no" / "such" / "x.hvpt"
+    r = run("knn", str(corpus_file), "cherry", "--index", str(index))
+    assert r.returncode == 2 and r.stdout == b""
+    message = f"harmdist: [Errno 2] No such file or directory: '{index}'\n"
+    assert r.stderr.decode() == message
+    assert list(tmp_path.iterdir()) == [corpus_file]
 
 
 def test_knn_corrupt_index_file(corpus_file, tmp_path):

@@ -509,14 +509,38 @@ def test_lcs_rows_match_scalar_pair_by_pair(seqs):
 
 
 def test_lcs_rows_of_long_lines_pack_the_slice_once(mask_calls, packed_calls):
-    # one mask source over the whole slice, its part masks within the
-    # budget of 8 bytes a symbol, and row i over the lanes after line i
+    # one build of part masks over the whole slice, within the budget of
+    # 8 bytes a symbol, and row i over the lanes after line i; the rows'
+    # table adds one mask per distinct symbol on top of them
     seqs = _long_lines(40, 9)
     lcs_mod.lcs_rows(seqs)
     assert packed_calls == list(range(39, 0, -1))
     [(text, sets, held)] = mask_calls
     assert text == b"".join(map(lcs_mod._lane, seqs))
     assert sets == 2 and held <= 8 * sum(map(len, seqs))
+
+
+@pytest.mark.parametrize(
+    "seqs",
+    [
+        _long_lines(40, 9),
+        [
+            SymbolSeq(bytes(random.Random(i).choices(b"acgt", k=8 + 7 * i % 57)))
+            for i in range(30)
+        ],
+    ],
+    ids=["long-40", "acgt-30"],
+)
+def test_lcs_rows_read_one_table_of_masks(seqs, packed_calls):
+    # every row reads the same table: one match mask for each symbol of
+    # the rows before the last, zero masks dropped, as one translate pass
+    # per symbol builds it; lcs_lens keeps stepping its part masks
+    text = b"".join(map(lcs_mod._lane, seqs))
+    symbols = set().union(*[s.ids for s in seqs[:-1]])
+    assert lcs_mod.lcs_rows(seqs)[0] == lcs_lens(seqs[0], seqs[1:])
+    table, stepped = packed_calls.sources
+    assert table.__self__ == _translate_masks(text, symbols)
+    assert not isinstance(getattr(stepped, "__self__", None), dict)
 
 
 # -- the query profile --------------------------------------------------------

@@ -599,6 +599,21 @@ def test_save_replaces_the_file_in_one_step(tmp_path, tree, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name",
+    # the second name meets the 255-byte limit, so its temporary sibling
+    # can be neither written nor removed
+    ["missing/tree.hvpt", "x" * 250 + ".hvpt"],
+    ids=["missing-directory", "name-at-the-limit"],
+)
+def test_a_failed_save_names_the_path(tmp_path, tree, name):
+    path = tmp_path / name
+    with pytest.raises(OSError) as info:
+        tree.save(path)
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_overwrites_an_existing_file(tmp_path, corpus, tree):
     path = tmp_path / "tree.hvpt"
     path.write_bytes(b"stale")

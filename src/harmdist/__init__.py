@@ -46,7 +46,6 @@ _EXPORTS = {
         "distance",
         "distance_decomposed",
         "distance_exact",
-        "distance_subsequence",
         "distances",
     ),
     "propcheck": (

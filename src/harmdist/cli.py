@@ -140,9 +140,12 @@ def cmd_knn(args) -> int:
             tree.save(args.index)
         results = tree.knn(query, args.k)
     else:
+        from heapq import nsmallest
+
         ds = distances(query, seqs)
-        ranked = sorted(zip(ds, range(len(ds))))
-        results = [(i, d) for d, i in ranked[: args.k]]
+        # the k smallest (distance, index) pairs, in the order a full sort gives
+        ranked = nsmallest(args.k, zip(ds, range(len(ds))))
+        results = [(i, d) for d, i in ranked]
 
     for rank, (idx, d) in enumerate(results, start=1):
         line = lines[idx]

@@ -57,6 +57,20 @@ about 180 steps.  The table holds at most 256 masks, so at most 32
 bytes per packed symbol, guard bits included, on top of the part
 masks.
 
+Interning.  ``Interner.seqs`` gives a corpus the ids line-by-line
+``seq`` gives it.  Lines of ``str`` go through one charmap codec map of
+the symbols seen so far (``_codec``): a line is encoded to its ids plus
+one in one C call, and one ``bytes.translate`` shifts them back.  A line
+that brings new symbols fails to encode; they get their ids in order of
+first appearance and the map is rebuilt.  The fast map holds at most 255
+BMP code points, so from the first line the codec cannot take (one that
+holds U+0000, U+FFFE or a code point above U+FFFF, brings a 256th
+symbol, or is not a ``str``) the rest of the corpus takes the general
+path in one pass: one pass over its tokens for the ids, then one
+``translate`` a line for ``bytes`` lines while every id fits in a byte,
+else the ids of each token, which ``SymbolSeq`` stores as bytes when
+they fit.
+
 Engines are pure functions of immutable inputs.  An ``Interner`` is
 mutated only while ingesting text; once built it may be shared freely
 between concurrent distance computations.
@@ -65,6 +79,7 @@ between concurrent distance computations.
 from __future__ import annotations
 
 from bisect import bisect_left
+from codecs import charmap_build, charmap_encode
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import accumulate, chain
 from typing import Literal
@@ -151,27 +166,80 @@ class Interner:
         return SymbolSeq(tuple(ids.setdefault(t, len(ids)) for t in tokens))
 
     def seqs(self, lines: Sequence[Iterable[Hashable]]) -> list[SymbolSeq]:
-        """``[self.seq(line) for line in lines]``, with the same ids, in one
-        pass over the corpus's tokens.
+        """``[self.seq(line) for line in lines]``, with the same ids.
 
         The new tokens get their ids in order of first appearance across
-        the lines, as line-by-line interning gives them.  While every id
-        fits in a byte, each ``str`` or ``bytes`` line then becomes its id
-        bytes with one ``translate``.
+        the lines, as line-by-line interning gives them.  Leading lines of
+        ``str`` go through the charmap codec map of ``_codec``: each line
+        is encoded in one C call to its ids plus one, and one
+        ``translate`` shifts them down.  A line that brings new symbols
+        fails to encode; its new symbols get their ids, and only then is
+        the map rebuilt.  From the first line the map cannot take (it
+        holds U+0000, U+FFFE or a code point above U+FFFF, brings a 256th
+        symbol, or is not a ``str``) the rest of the lines take the
+        general path in one pass: one pass over their tokens for the ids,
+        then, while every id fits in a byte, each ``bytes`` line becomes
+        its id bytes with one ``translate``; other lines map token by
+        token.
         """
+        done = self._encode(lines)
+        return done + self._seqs(lines[len(done) :])
+
+    def _encode(self, lines: Sequence[Iterable[Hashable]]) -> list[SymbolSeq]:
+        """The sequences of the leading ``str`` lines whose symbols the map
+        of ``_codec`` can hold, each line encoded through it in one call."""
+        ids, out = self._ids, []
+        if not all(type(t) is str and len(t) == 1 for t in ids):
+            return out  # tokens interned before that are not code points
+        cmap = _codec(ids)
+        for line in lines:
+            # U+0000 encodes to 0 without an error, so it stops the codec too
+            if cmap is None or type(line) is not str or "\0" in line:
+                break
+            try:
+                code = charmap_encode(line, None, cmap)[0]
+            except UnicodeEncodeError:  # new symbols: their ids, then a new map
+                for t in dict.fromkeys(line):
+                    ids.setdefault(t, len(ids))
+                cmap = _codec(ids)
+                if cmap is None:
+                    break
+                code = charmap_encode(line, None, cmap)[0]
+            out.append(SymbolSeq(code.translate(_DOWN)))
+        return out
+
+    def _seqs(self, lines: Sequence[Iterable[Hashable]]) -> list[SymbolSeq]:
+        """The general path of ``seqs``, for lines of any tokens."""
         ids = self._ids
-        tokens = dict.fromkeys(chain.from_iterable(lines))  # first appearance first
-        own = {t: ids.setdefault(t, len(ids)) for t in tokens}
-        kinds = set(map(type, lines)) if len(ids) <= 256 else None
-        if kinds == {str}:
-            table = {ord(t): i for t, i in own.items()}
-            return [
-                SymbolSeq(line.translate(table).encode("latin-1")) for line in lines
-            ]
-        if kinds == {bytes}:
-            table = bytes([own.get(b, 0) for b in range(256)])
+        for t in dict.fromkeys(chain.from_iterable(lines)):  # first appearance first
+            ids.setdefault(t, len(ids))
+        if len(ids) <= 256 and all(type(line) is bytes for line in lines):
+            table = bytes([ids.get(b, 0) for b in range(256)])
             return [SymbolSeq(line.translate(table)) for line in lines]
         return [SymbolSeq(tuple(map(ids.__getitem__, line))) for line in lines]
+
+
+# byte b -> b - 1: a codec byte back to its id
+_DOWN = bytes([0, *range(255)])
+
+
+def _codec(ids: dict[str, int]):
+    """The charmap encoding map of interned code points, under which a
+    string of them encodes to its ids plus one; or None when no fast map
+    can hold them.
+
+    ``charmap_build`` returns a fast ``EncodingMap`` only for a table of
+    256 BMP characters with U+0000 at position 0, in which U+FFFE marks a
+    position unmapped.  For any other table it silently returns a dict,
+    which encodes no faster than ``str.translate``.  So the table is
+    U+0000, the code point of each id in id order, then U+FFFE up to 256:
+    it holds at most 255 symbols, none of them U+0000, U+FFFE or above
+    U+FFFF, in at most 254 distinct blocks of 128 code points.
+    """
+    if len(ids) > 255 or "\ufffe" in ids:
+        return None
+    cmap = charmap_build("\0" + "".join(ids) + "\ufffe" * (255 - len(ids)))
+    return None if type(cmap) is dict else cmap
 
 
 def lcs_len_dp(a: SymbolSeq, b: SymbolSeq) -> int:

@@ -27,7 +27,6 @@ from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTabl
 from .lcs import (
     Engine,
     SymbolSeq,
-    is_subsequence,
     lcs_len,
     lcs_lens,
     lcs_rows,
@@ -133,23 +132,6 @@ def distance_decomposed(
     ins = harmonic_diff(table, la, scs)
     dele = harmonic_diff(table, lb, scs)
     return DistanceBreakdown(ins, dele, ins + dele)
-
-
-def distance_subsequence(
-    a: SymbolSeq,
-    b: SymbolSeq,
-    *,
-    table: HarmonicTable | None = None,
-) -> float:
-    """Fast path when a is a subsequence of b: d = H_|b| - H_|a|.
-
-    The caller owns the precondition; it is asserted here, so violations
-    surface in normal runs and are skipped under ``python -O``.
-    """
-    assert is_subsequence(a, b), "distance_subsequence requires a subseq of b"
-    if table is None:
-        table = default_table()
-    return harmonic_diff(table, len(a.ids), len(b.ids))
 
 
 def distance_exact(

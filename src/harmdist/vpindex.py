@@ -54,6 +54,7 @@ import math
 import os
 import random
 import struct
+import threading
 from array import array
 from contextlib import suppress
 from pathlib import Path
@@ -312,15 +313,18 @@ class VpTree:
     # serialization
 
     def save(self, path) -> None:
-        """Write the tree to a temporary file beside ``path``, then move it
-        over ``path`` in one step, so no reader sees a partial file.  An
-        OSError on the temporary file names ``path`` instead."""
+        """Write the tree to a temporary file in ``path``'s directory, then
+        move it over ``path`` in one step, so no reader sees a partial file.
+        The temporary name is short and its own, not ``path``'s name
+        extended, so a name at the length limit saves too; the process and
+        thread ids keep concurrent saves apart.  An OSError on the
+        temporary file names ``path`` instead."""
         n = len(self.order)
         body = struct.pack(f"<{n}I{n}d", *self.order, *self.radii)
         digest = _digest(self.build_seed, self.corpus, body)
         header = _HEADER.pack(FORMAT_VERSION, self.build_seed, digest)
         path = Path(path)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".{os.getpid()}.{threading.get_ident()}.hvpt.tmp")
         try:
             tmp.write_bytes(MAGIC + header + body)
             os.replace(tmp, path)

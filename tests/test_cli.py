@@ -141,7 +141,7 @@ def test_every_public_name_resolves():
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert r.returncode == 0, r.stderr
-    assert out(r) == "38 [] True Fraction harmdist.vpindex\n"
+    assert out(r) == "37 [] True Fraction harmdist.vpindex\n"
 
 
 def test_fixture_choices_name_every_planted_bug():
@@ -314,6 +314,20 @@ def _sparse_lines(n, seed):
     ]
 
 
+def _edge_lines(n, seed):
+    # 254 code points from U+0100 in the first half; the second half adds
+    # NUL, U+FFFE, an astral code point and U+4E00, so that the 256th
+    # symbol arrives late and the map of the codec cannot hold the rest
+    rng = random.Random(seed)
+    early = [chr(0x100 + i) for i in range(254)]
+    late = early + ["\0", "\ufffe", "\U0001f600", "\u4e00"]
+    alphabets = [early] * (n // 2) + [late] * (n - n // 2)
+    return [
+        "".join(rng.choice(symbols) for _ in range(rng.randint(20, 80)))
+        for symbols in alphabets
+    ]
+
+
 @pytest.mark.parametrize(
     "lines, mode, query",
     [
@@ -321,8 +335,9 @@ def _sparse_lines(n, seed):
         (_word_lines(400, 2), "words", "w1 w300 w599 w2 w450"),
         (_wide_lines(400, 3), "codepoints", _wide_lines(1, 4)[0]),
         (_sparse_lines(400, 10), "codepoints", _sparse_lines(1, 11)[0]),
+        (_edge_lines(400, 12), "codepoints", "\u0101\ufffe\u0105\U0001f600\u4e00"),
     ],
-    ids=["acgt-2000", "words-600", "wide-400", "sparse-400"],
+    ids=["acgt-2000", "words-600", "wide-400", "sparse-400", "edge-code-points"],
 )
 def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path):
     # plain, building the index and loading it, knn prints the ranking of a
@@ -356,8 +371,9 @@ def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path)
         (_word_lines(400, 2), "words"),
         (_wide_lines(400, 3), "codepoints"),
         (_sparse_lines(150, 8), "codepoints"),
+        (_edge_lines(150, 13), "codepoints"),
     ],
-    ids=["acgt-150", "words-600", "wide-400", "sparse-150"],
+    ids=["acgt-150", "words-600", "wide-400", "sparse-150", "edge-code-points"],
 )
 def test_matrix_stdout_is_the_same_under_every_engine(lines, mode, tmp_path):
     # matrix prints the distances of the huntszymanski oracle, each pair

@@ -97,12 +97,16 @@ def test_symbolseq_has_one_canonical_form(data, alphabet):
 def corpora(draw):
     """(mode, lines, prefix): lines in one CLI tokenization mode over a
     drawn alphabet, and lines interned before them.  ``codepoints``
-    alphabets start in ASCII, Latin-1 or CJK; one line may hold the
-    whole alphabet, so that more than 256 symbols occur."""
+    alphabets start at U+0000 (NUL and control characters), in ASCII,
+    Latin-1 or CJK, at U+FFF0 (through U+FFFE and U+FFFF) or at U+1F600
+    (astral).  One line may hold the whole alphabet, so that more than
+    256 symbols occur; or the alphabet may arrive over several lines, the
+    first of them holding up to 256 symbols, so that the 256th symbol
+    can first appear partway through the corpus."""
     mode = draw(st.sampled_from(["codepoints", "bytes", "words"]))
     alphabet = min(256, draw(ALPHABETS)) if mode == "bytes" else draw(ALPHABETS)
     if mode == "codepoints":
-        base = draw(st.sampled_from([0x20, 0xA0, 0x4E00]))
+        base = draw(st.sampled_from([0x0, 0x20, 0xA0, 0x4E00, 0xFFF0, 0x1F600]))
         tokens = [chr(base + i) for i in range(alphabet)]
     elif mode == "bytes":
         tokens = list(range(alphabet))
@@ -112,6 +116,10 @@ def corpora(draw):
     lines = draw(st.lists(index_lines, max_size=12))
     if draw(st.booleans()):
         lines.append(draw(st.permutations(range(alphabet))))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(alphabet)))
+        cut = draw(st.integers(200, 256))
+        lines += [order[:cut], *draw(st.lists(index_lines, max_size=2)), order[cut:]]
     prefix = draw(st.lists(index_lines, max_size=3))
 
     def form(ix):
@@ -135,6 +143,42 @@ def test_interner_seqs_matches_seq_line_by_line(case):
     assert batched.alphabet_size == one.alphabet_size
     # every token keeps its id: the interners map the same tokens alike
     assert [batched.intern(t) for t in one._ids] == list(one._ids.values())
+
+
+@pytest.mark.parametrize(
+    "odd", ["\0", "\ufffe", "\U0001f600"], ids=["nul", "u+fffe", "astral"]
+)
+def test_interner_seqs_takes_code_points_the_codec_map_cannot_hold(odd):
+    # U+0000 would encode to byte 0 without an error; the others cannot be
+    # mapped.  Each arrives here as the one new symbol of its line.
+    lines = ["ab", f"b{odd}a", "ca", odd, "abc"]
+    one = Interner()
+    assert Interner().seqs(lines) == [one.seq(line) for line in lines]
+
+
+def test_interner_seqs_stops_the_codec_where_its_map_is_full(monkeypatch):
+    # one new code point a line: the codec map is rebuilt for each of the
+    # first 256 lines, and the 256th symbol sends the rest of the corpus
+    # to the general path at once, not line by line
+    builds = []
+    codec = lcs_mod._codec
+    monkeypatch.setattr(
+        lcs_mod, "_codec", lambda ids: builds.append(len(ids)) or codec(ids)
+    )
+    lines = [chr(0x4E00 + i) * 3 for i in range(600)]
+    one = Interner()
+    assert Interner().seqs(lines) == [one.seq(line) for line in lines]
+    assert builds[1:] == list(range(1, 257))  # after the build at the start
+
+
+def test_interner_seqs_needs_a_map_of_few_blocks():
+    # charmap_build gives a fast map only while the symbols lie in at most
+    # 254 distinct 128-code-point blocks; the 255th block takes the
+    # general path, with the same ids
+    lines = [chr(0x80 * i + 0x41) * 2 for i in range(1, 300)]
+    one = Interner()
+    assert Interner().seqs(lines) == [one.seq(line) for line in lines]
+    assert len(Interner()._encode(lines)) == 254
 
 
 def test_query_adding_the_257th_symbol_takes_the_profile(packed_calls, profile_calls):

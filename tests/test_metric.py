@@ -14,9 +14,9 @@ from harmdist import (
     distance,
     distance_decomposed,
     distance_exact,
-    distance_subsequence,
     distances,
     harmonic,
+    harmonic_diff,
 )
 from helpers import random_seq, seq, symbol_seqs
 
@@ -76,14 +76,11 @@ def test_decomposition_examples():
 
 
 def test_subsequence_fast_path_examples():
-    assert distance_subsequence(seq("xy"), seq("xy"), table=TABLE) == 0.0
-    assert abs(distance_subsequence(seq("b"), seq("ab"), table=TABLE) - 0.5) <= 1e-15
-    assert distance_subsequence(seq(""), seq("abcd"), table=TABLE) == harmonic(TABLE, 4)
-
-
-def test_subsequence_fast_path_asserts_precondition():
-    with pytest.raises(AssertionError):
-        distance_subsequence(seq("ba"), seq("ab"), table=TABLE)
+    # a subsequence a of b needs no fast path: with scs = |b| the formula
+    # gives H_|b| - H_|a| itself
+    assert d(seq("xy"), seq("xy")) == 0.0
+    assert abs(d(seq("b"), seq("ab")) - 0.5) <= 1e-15
+    assert d(seq(""), seq("abcd")) == harmonic(TABLE, 4)
 
 
 def test_exact_capacity_guard():
@@ -131,10 +128,12 @@ def test_decomposition_consistency(a, b):
 @given(b=symbol_seqs(4, 40), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_fast_path_agrees_with_general_formula(b, data):
+    # for a subsequence a of b the distance is H_|b| - H_|a| bit for bit,
+    # either way round: the second harmonic span is empty, exactly 0.0
     keep = data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)))
     a = SymbolSeq(tuple(s for s, k in zip(b.ids, keep) if k))
-    fast = distance_subsequence(a, b, table=TABLE)
-    assert abs(fast - d(a, b)) <= 1e-12
+    fast = harmonic_diff(TABLE, len(a.ids), len(b.ids))
+    assert d(a, b) == d(b, a) == fast
 
 
 @given(a=symbol_seqs(3, 60), b=symbol_seqs(3, 60))

@@ -21,7 +21,6 @@ from .harmonic import harmonic
 _EXPORTS = {
     "errors": ("CapacityError", "IndexFormatError"),
     "harmonic": (
-        "ExactHarmonic",
         "HarmonicTable",
         "default_table",
         "harmonic",

@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from .errors import CapacityError, IndexFormatError
-from .harmonic import default_table
 from .lcs import Interner, SymbolSeq
 from .metric import distance, distance_rows, distances
 
@@ -181,18 +180,18 @@ def cmd_check(args) -> int:
         seed=seed,
         mode=mode,
     )
-    tier = {"rational": not args.use_float, "table": default_table()}
-    dist = FIXTURES[args.fixture](**tier) if args.fixture else None
+    rational = not args.use_float
+    dist = FIXTURES[args.fixture](rational=rational) if args.fixture else None
     if mode == "exhaustive":
         strings = universe(config.alphabet_size, config.max_length)
         pairs, pair_seed = (lambda: all_pairs(strings)), None
     else:
         pairs, pair_seed = (lambda: random_pairs(config)), seed
     reports = [
-        verify_metric_axioms(config, dist=dist, **tier),
-        verify_lemma_scs(pairs(), seed=pair_seed, **tier),
-        verify_lemma_lcs_triangle(pairs(), seed=pair_seed, **tier),
-        verify_lemma_chain(random_chains(config), seed=seed, **tier),
+        verify_metric_axioms(config, dist=dist, rational=rational),
+        verify_lemma_scs(pairs(), seed=pair_seed, rational=rational),
+        verify_lemma_lcs_triangle(pairs(), seed=pair_seed, rational=rational),
+        verify_lemma_chain(random_chains(config), seed=seed, rational=rational),
     ]
     report = VerificationReport([p for rep in reports for p in rep.properties])
     if args.json:

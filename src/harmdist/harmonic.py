@@ -9,13 +9,17 @@ Three tiers serve the rest of the library:
 * ``harmonic_exact`` returns H_n as an exact rational, the reference
   oracle for every floating-point tolerance in this package.
 
-A ``HarmonicTable`` materializes entries on demand, up to its fixed
-``max_index``; growth is locked and published by swapping in a grown copy,
-so a table is safe to share across threads.  Every function here returns
-the same value whatever the table has materialized so far.
+The table is fixed, not a setting: every ``HarmonicTable`` covers
+H_0..H_MAX_CAPACITY and holds the same entries, so H_n, and with it every
+distance, depends on n alone.  A table materializes entries on demand;
+growth is locked and published by swapping in a grown copy, so a table is
+safe to share across threads.  Every function here returns the same value
+whatever table it is given and whatever that table has materialized so
+far; the ``table`` argument only picks which cache grows.  The library
+reads ``default_table()``.
 
-Exact rationals are plain stdlib fractions (``ExactHarmonic``), imported
-on first use, so the float tiers load without ``fractions``.
+Exact rationals are plain stdlib fractions, imported on first use, so the
+float tiers load without ``fractions``.
 """
 
 from __future__ import annotations
@@ -41,15 +45,12 @@ DIRECT_SUM_SPAN = 64
 #: Largest index served by exact rational arithmetic.
 EXACT_LIMIT = 10_000
 
-DEFAULT_CAPACITY = 1 << 20
-
 # The step bound pins each entry to within half an ulp of its neighbour,
 # so the stored sequence behaves like rounded single additions and its
 # deviation from H_n grows as a bounded random walk.  Measured over the
-# full range, the walk stays under 1e-12 only through about 2^20 entries;
-# larger requests are clamped.  The floor keeps the asymptotic tail
-# accurate enough (error < 1/(252 n^6)) that the table/tail boundary
-# stays within 1e-12 of 1/(N+1).
+# full range, the walk stays under 1e-12 only through about 2^20 entries,
+# so every table ends at MAX_CAPACITY and the asymptotic tail serves the
+# rest.  MIN_CAPACITY is only the first growth step.
 MIN_CAPACITY = 64
 MAX_CAPACITY = 1 << 20
 
@@ -59,22 +60,13 @@ MAX_CAPACITY = 1 << 20
 FIXED_POINT_SHIFT = 53 + MAX_CAPACITY.bit_length() + 2
 
 
-def __getattr__(name: str):
-    # Exact rationals are plain stdlib fractions: auto-reduced, positive
-    # denominator, arbitrary precision.
-    if name == "ExactHarmonic":
-        from fractions import Fraction
-
-        return Fraction
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class HarmonicTable:
     """Prefix table of H_0..H_N in double precision, grown on demand.
 
-    ``max_index`` is N, the clamped capacity, fixed at construction.
-    Entries are materialized only up to the largest index requested so
-    far, doubling each time; reading ``values`` materializes all of them.
+    ``max_index`` is N, always ``MAX_CAPACITY``; every table holds the
+    same entries, so a second table is only a second cache.  Entries are
+    materialized only up to the largest index requested so far, doubling
+    each time; reading ``values`` materializes all of them.
 
     Entries come from error-feedback summation: the exact running sum is
     carried in a hi/lo double-double pair, and each stored entry is the
@@ -96,10 +88,8 @@ class HarmonicTable:
 
     __slots__ = ("max_index", "_values", "_prefix", "_state", "_lock")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 0:
-            raise ValueError(f"capacity must be nonnegative, got {capacity}")
-        self.max_index = min(max(capacity, MIN_CAPACITY), MAX_CAPACITY)
+    def __init__(self):
+        self.max_index = MAX_CAPACITY
         self._values = array("d", [0.0])
         self._prefix = [0]
         self._state = (0.0, 0.0, 0.0)  # (hi, lo, v) after the last entry
@@ -174,7 +164,7 @@ _DEFAULT_TABLE = HarmonicTable()  # materializes entries only when read
 
 
 def default_table() -> HarmonicTable:
-    """The process-wide table, of the default capacity."""
+    """The process-wide table, which every distance function reads."""
     return _DEFAULT_TABLE
 
 
@@ -193,7 +183,11 @@ def _tail(n: int) -> float:
 
 
 def harmonic(table: HarmonicTable, n: int) -> float:
-    """H_n from the table, or from the asymptotic expansion for n beyond it."""
+    """H_n from the table, or from the asymptotic expansion for n beyond it.
+
+    Every table holds the same entries, so ``table`` picks only which
+    cache grows, never the value.
+    """
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
     if n <= table.max_index:
@@ -212,7 +206,8 @@ def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
     float once: the correctly rounded sum of fl(1/i) for i in lo+1..hi,
     the value ``math.fsum`` gives for those terms (int-to-float conversion
     rounds half to even, and scaling by a power of two is exact).  Longer
-    spans fall back to differencing two harmonic values.
+    spans fall back to differencing two harmonic values.  As in
+    ``harmonic``, ``table`` picks only which cache grows.
     """
     if lo < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {lo}")

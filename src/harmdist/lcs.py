@@ -21,9 +21,10 @@ one.  One row update, ``_advance``, serves it in two forms:
   after lane i, for the CLI's ``matrix``.  A slice that does not pack
   goes row by row to ``lcs_lens``.
 
-An engine is named only to ``lcs_len`` (and ``scs_len``), one pair at a
-time.  ``dp``, ``huntszymanski`` and ``bruteforce`` stay there as
-oracles, and ``bitparallel`` names the same scalar code as ``auto``.
+An engine is named only to ``lcs_len``, one pair at a time, and
+through it to ``metric.distance`` and ``distance_exact``.  ``dp``,
+``huntszymanski`` and ``bruteforce`` stay there as oracles, and
+``bitparallel`` names the same scalar code as ``auto``.
 The one-vs-many and row forms take no engine: every engine returns the
 same length, so the choice could change only their time.  Only lengths
 are ever computed: every quantity the distance needs collapses to |lcs|
@@ -578,9 +579,9 @@ def _packed_decode(row: int, full: int, widths: list[int]) -> list[int]:
     ]
 
 
-def scs_len(a: SymbolSeq, b: SymbolSeq, engine: Engine = "auto") -> int:
+def scs_len(a: SymbolSeq, b: SymbolSeq) -> int:
     """Shortest-common-supersequence length, |a| + |b| - |lcs(a, b)|."""
-    return len(a.ids) + len(b.ids) - lcs_len(a, b, engine)
+    return len(a.ids) + len(b.ids) - lcs_len(a, b)
 
 
 def is_subsequence(a: SymbolSeq, b: SymbolSeq) -> bool:

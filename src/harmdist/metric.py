@@ -13,7 +13,9 @@ between large harmonic values.
 Values are unbounded: d(empty, b) = H_|b| grows with |b|.  Clamping to
 [0, 1] would break the triangle inequality, so none is applied.
 
-All functions are pure; a shared HarmonicTable may be used concurrently.
+All functions are pure and read the one process-wide harmonic table,
+which is safe to share across threads; no distance function takes a
+table.
 """
 
 from __future__ import annotations
@@ -53,32 +55,27 @@ class DistanceBreakdown(NamedTuple):
     total: float
 
 
-def distance(
-    a: SymbolSeq,
-    b: SymbolSeq,
-    *,
-    table: HarmonicTable | None = None,
-    engine: Engine = "auto",
-) -> float:
+def distance(a: SymbolSeq, b: SymbolSeq, *, engine: Engine = "auto") -> float:
     """The harmonic edit distance; zero exactly when a == b.
+
+    It reads the default table, as every distance function does, so its
+    value depends on the three lengths alone.  Every engine gives the same
+    LCS length and so the same bits; ``engine`` names an oracle for tests.
 
     Zero comes from the length formula itself: for equal strings both
     harmonic spans are empty, so each summand is exactly 0.0.  Symmetric
     bit for bit: the LCS length is an exact integer, so swapping a and b
     only swaps the two summands, and IEEE addition commutes.
     """
-    if table is None:
-        table = default_table()
     return _distance_from_lengths(
-        len(a.ids), len(b.ids), lcs_len(a, b, engine), table
+        len(a.ids), len(b.ids), lcs_len(a, b, engine), default_table()
     )
 
 
 def distances(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[float]:
     """``[distance(q, s) for s in corpus]``, bit for bit, with the LCS
     lengths taken one-vs-many by ``lcs_lens``.  Like every batched form it
-    takes no engine, since every engine gives the same distance, and no
-    table: it reads the default table.
+    takes no engine, since every engine gives the same distance.
 
     The knn scan, the vp-tree build and each leaf that a vp-tree search
     reaches run through here; a search's pivots go through ``distance``
@@ -113,22 +110,16 @@ def distance_rows(seqs: Sequence[SymbolSeq]) -> list[array]:
     ]
 
 
-def distance_decomposed(
-    a: SymbolSeq,
-    b: SymbolSeq,
-    *,
-    table: HarmonicTable | None = None,
-    engine: Engine = "auto",
-) -> DistanceBreakdown:
+def distance_decomposed(a: SymbolSeq, b: SymbolSeq) -> DistanceBreakdown:
     """Split the distance into its insertion and deletion components.
 
     Components are tied to the argument order (grow ``a``, then shrink to
-    ``b``); the total is order-independent and equals ``distance(a, b)``.
+    ``b``); the total is order-independent and equals ``distance(a, b)``
+    bit for bit.
     """
-    if table is None:
-        table = default_table()
+    table = default_table()
     la, lb = len(a.ids), len(b.ids)
-    scs = la + lb - lcs_len(a, b, engine)
+    scs = la + lb - lcs_len(a, b)
     ins = harmonic_diff(table, la, scs)
     dele = harmonic_diff(table, lb, scs)
     return DistanceBreakdown(ins, dele, ins + dele)

@@ -4,8 +4,10 @@ Every property is written once, as a gap: a signed margin, negative
 meaning broken.  One private arithmetic tier evaluates the gaps and
 judges them.  The rational tier evaluates every distance exactly and
 calls any negative gap a violation; it is the authority.  The float tier
-runs the production code path and tolerates bounded rounding
-(AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the equalities).
+computes the production formula, bit for bit ``distance``, and tolerates
+bounded rounding (AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the
+equalities).  A suite's ``table`` only picks which harmonic cache grows:
+every table holds the same entries, so no report depends on it.
 Checks run either exhaustively over every string on a small alphabet or
 statistically over seeded random samples; both modes feed the same gap
 definitions, and in both the report is a pure function of (config, seed).
@@ -42,7 +44,6 @@ from .lcs import SymbolSeq, is_subsequence, lcs_len
 from .metric import (
     _distance_exact_from_lengths,
     _distance_from_lengths,
-    distance,
     distance_exact,
 )
 
@@ -261,8 +262,8 @@ class _Tier:
 
     This is the only place the two tiers differ: the rational tier
     computes with ``Fraction`` and calls any negative gap a violation; the
-    float tier runs the production code path and forgives gaps down to
-    ``-tolerance``.
+    float tier computes the production formula, bit for bit ``distance``,
+    and forgives gaps down to ``-tolerance``.
     """
 
     def __init__(self, rational: bool, table: HarmonicTable | None = None):
@@ -273,7 +274,9 @@ class _Tier:
     def dist(self, a: SymbolSeq, b: SymbolSeq):
         if self.rational:
             return distance_exact(a, b)
-        return distance(a, b, table=self.table)
+        return _distance_from_lengths(
+            len(a.ids), len(b.ids), lcs_len(a, b), self.table
+        )
 
     def from_lengths(self, la: int, lb: int, lcs: int):
         """The distance forced by the three lengths alone."""
@@ -349,24 +352,21 @@ class _Collector:
         self.tolerance = tolerance
         self.checker: Checker = lambda t: tier.judge(gap(t), tolerance)
         self.checked = 0
-        self.counterexamples: list[Counterexample] = []
-        self.overflow = 0
-        self.min_gap = None
-        self.min_slack = None
-        self.min_slack_exact = None
+        self.violations = 0
+        self.counterexamples: list[Counterexample] = []  # the first MAX_STORED
+        self.min_gap = None  # the first minimum
 
     def record(self, triple, gap) -> None:
-        violated, slack, exact = self.tier.judge(gap, self.tolerance)
         self.checked += 1
         if self.min_gap is None or gap < self.min_gap:
-            self.min_gap, self.min_slack, self.min_slack_exact = gap, slack, exact
+            self.min_gap = gap
+        violated, slack, exact = self.tier.judge(gap, self.tolerance)
         if violated:
+            self.violations += 1
             if len(self.counterexamples) < MAX_STORED:
                 self.counterexamples.append(
                     Counterexample(triple, self.name, slack, exact, self.checker)
                 )
-            else:
-                self.overflow += 1
 
     def report(self, seed: int | None) -> PropertyReport:
         # ids as tuples, so that byte and tuple ids compare alike
@@ -374,14 +374,11 @@ class _Collector:
             self.counterexamples,
             key=lambda cx: (cx.slack, *[tuple(s.ids) for s in cx.triple]),
         )
+        slack = exact = None
+        if self.min_gap is not None:
+            _, slack, exact = self.tier.judge(self.min_gap, self.tolerance)
         return PropertyReport(
-            self.name,
-            self.checked,
-            len(cxs) + self.overflow,
-            cxs,
-            self.min_slack,
-            self.min_slack_exact,
-            seed,
+            self.name, self.checked, self.violations, cxs, slack, exact, seed
         )
 
 

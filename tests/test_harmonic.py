@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmdist import CapacityError, HarmonicTable, harmonic, harmonic_diff, harmonic_exact
+from harmdist import (
+    CapacityError,
+    HarmonicTable,
+    default_table,
+    harmonic,
+    harmonic_diff,
+    harmonic_exact,
+)
 
 hmod = importlib.import_module("harmdist.harmonic")
 from harmdist.harmonic import (
@@ -25,21 +32,29 @@ from harmdist.harmonic import (
 )
 from helpers import rational_harmonic
 
-TABLE = HarmonicTable(10_000)
-SMALL = HarmonicTable(64)  # exercises the asymptotic tail early
+TABLE = HarmonicTable()
+
+
+def _first_entries() -> list[float]:
+    """H_0..H_10000 read from TABLE, without materializing the rest."""
+    return [harmonic(TABLE, n) for n in range(10_001)]
+
+
+def _fsum_span(lo: int, hi: int) -> float:
+    return math.fsum(1.0 / i for i in range(lo + 1, hi + 1))
 
 
 def test_first_value_is_exactly_zero():
-    assert TABLE.values[0] == 0.0
+    assert harmonic(TABLE, 0) == 0.0
 
 
 def test_values_strictly_increasing():
-    vals = TABLE.values
+    vals = _first_entries()
     assert all(vals[i] > vals[i - 1] for i in range(1, len(vals)))
 
 
 def test_per_step_increment_within_bound():
-    vals = TABLE.values
+    vals = _first_entries()
     worst = max(
         abs(vals[i] - vals[i - 1] - 1.0 / i) for i in range(1, len(vals))
     )
@@ -49,33 +64,24 @@ def test_per_step_increment_within_bound():
 def test_table_matches_exact_oracle():
     # float(Fraction) rounds correctly, so the float comparison resolves
     # errors down to one ulp, far below the 1e-12 budget
-    worst = max(
-        abs(TABLE.values[n] - float(harmonic_exact(n)))
-        for n in range(0, 10_001)
-    )
+    vals = _first_entries()
+    worst = max(abs(vals[n] - float(harmonic_exact(n))) for n in range(10_001))
     assert worst <= 1e-12
 
 
 def test_larger_table_stays_within_tolerance_of_expansion():
-    table = HarmonicTable(1 << 17)
+    values = default_table().values
     worst = max(
-        abs(table.values[n] - hmod._tail(n))
-        for n in range(MIN_CAPACITY, table.max_index + 1, 101)
+        abs(values[n] - hmod._tail(n))
+        for n in range(MIN_CAPACITY, MAX_CAPACITY + 1, 101)
     )
     assert worst <= 1e-12
 
 
 def test_reverse_resummation_agrees():
-    n = TABLE.max_index
-    reverse = math.fsum(1.0 / i for i in range(n, 0, -1))
-    assert abs(TABLE.values[n] - reverse) <= 1e-12
-
-
-def test_capacity_is_clamped():
-    assert HarmonicTable(0).max_index == MIN_CAPACITY
-    assert HarmonicTable(1 << 22).max_index == MAX_CAPACITY
-    with pytest.raises(ValueError):
-        HarmonicTable(-1)
+    for n in (10_000, MAX_CAPACITY):
+        reverse = math.fsum(1.0 / i for i in range(n, 0, -1))
+        assert abs(harmonic(default_table(), n) - reverse) <= 1e-12
 
 
 def test_harmonic_known_values():
@@ -89,25 +95,58 @@ def test_harmonic_negative_rejected():
         harmonic(TABLE, -1)
 
 
+def test_a_fresh_table_gives_the_default_tables_bits():
+    # every table holds the same entries: a second one is only a second cache
+    fresh, default = HarmonicTable(), default_table()
+    ns = (0, 64, 10_000, MAX_CAPACITY, MAX_CAPACITY + 1)
+    assert [harmonic(fresh, n).hex() for n in ns] == [
+        harmonic(default, n).hex() for n in ns
+    ]
+    spans = [
+        (lo, lo + span)
+        for span in (63, 64, 65)
+        for lo in (0, 9_999, MAX_CAPACITY - 64, MAX_CAPACITY - 10)
+    ]
+    assert [harmonic_diff(fresh, lo, hi).hex() for lo, hi in spans] == [
+        harmonic_diff(default, lo, hi).hex() for lo, hi in spans
+    ]
+
+
+# -- the asymptotic tail, against the exact oracle wherever it reaches ----------
+
+
 def test_tail_matches_exact_oracle_beyond_small_table():
     worst = max(
-        abs(harmonic(SMALL, n) - float(harmonic_exact(n)))
-        for n in range(SMALL.max_index + 1, 10_001, 37)
+        abs(hmod._tail(n) - float(harmonic_exact(n)))
+        for n in range(MIN_CAPACITY + 1, EXACT_LIMIT + 1, 37)
     )
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("capacity", [64, 200, 1000, 10_000])
-def test_tail_continuity_at_boundary(capacity):
-    table = HarmonicTable(capacity)
-    n = table.max_index
-    step = harmonic(table, n + 1) - harmonic(table, n)
+@pytest.mark.parametrize("n", [64, 200, 1000, 10_000])
+def test_tail_continuity_at_boundary(n):
+    # were the table to end at n, the tail would take over at n + 1
+    assert abs(hmod._tail(n) - float(harmonic_exact(n))) <= 1e-12
+    step = hmod._tail(n + 1) - float(harmonic_exact(n))
+    assert abs(step - 1.0 / (n + 1)) <= 1e-12
+
+
+def test_tail_continuity_at_the_table_end():
+    # past EXACT_LIMIT the oracle is fsum of the rounded terms fl(1/i),
+    # within 2^-53 * H_n plus one rounding (about 3e-15) of H_n
+    n = MAX_CAPACITY
+    assert abs(hmod._tail(n + 1) - _fsum_span(0, n + 1)) <= 1e-12
+    step = harmonic(default_table(), n + 1) - harmonic(default_table(), n)
     assert abs(step - 1.0 / (n + 1)) <= 1e-12
 
 
 def test_monotone_across_boundary():
-    n = SMALL.max_index
-    values = [harmonic(SMALL, i) for i in range(n - 3, n + 10)]
+    n = MIN_CAPACITY
+    values = [float(harmonic_exact(i)) for i in range(n - 3, n + 1)]
+    values += [hmod._tail(i) for i in range(n + 1, n + 10)]
+    assert all(b > a for a, b in zip(values, values[1:]))
+    n = MAX_CAPACITY
+    values = [harmonic(default_table(), i) for i in range(n - 3, n + 10)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -145,12 +184,8 @@ def test_diff_additivity(lo, mid, hi):
     assert abs(lhs - rhs) <= 1e-12
 
 
-def _fsum_span(lo: int, hi: int) -> float:
-    return math.fsum(1.0 / i for i in range(lo + 1, hi + 1))
-
-
 def test_short_spans_equal_fsum_exhaustively_over_a_low_range():
-    table = HarmonicTable(MAX_CAPACITY)
+    table = HarmonicTable()
     mismatches = [
         (lo, lo + span)
         for lo in range(4096)
@@ -161,7 +196,7 @@ def test_short_spans_equal_fsum_exhaustively_over_a_low_range():
 
 
 def test_short_spans_equal_fsum_near_max_index():
-    table = HarmonicTable(MAX_CAPACITY)
+    table = HarmonicTable()
     rng = random.Random(13)
     spans = []
     for _ in range(20_000):
@@ -182,9 +217,13 @@ def test_every_prefix_term_is_an_exact_integer():
 
 
 def test_diff_spanning_the_table_boundary():
-    lo, hi = SMALL.max_index - 5, SMALL.max_index + 40
+    # were the table to end at 64, this span would be tail minus table
+    lo, hi = MIN_CAPACITY - 5, MIN_CAPACITY + 40
     expected = float(harmonic_exact(hi) - harmonic_exact(lo))
-    assert abs(harmonic_diff(SMALL, lo, hi) - expected) <= 1e-12
+    assert abs(hmod._tail(hi) - float(harmonic_exact(lo)) - expected) <= 1e-12
+    # the table does end at MAX_CAPACITY
+    lo, hi = MAX_CAPACITY - 5, MAX_CAPACITY + 40
+    assert abs(harmonic_diff(default_table(), lo, hi) - _fsum_span(lo, hi)) <= 1e-12
 
 
 def test_exact_known_values():
@@ -275,26 +314,26 @@ def _int_digest(prefix) -> str:
 
 
 def test_growth_in_irregular_steps_is_bit_identical():
-    grown = HarmonicTable(MAX_CAPACITY)
+    grown = HarmonicTable()
     for n in (10, 1000, 70_000, 3, 70_001):
         harmonic(grown, n)
         harmonic_diff(grown, n - 1, n)
     assert len(grown._values) - 1 < grown.max_index  # not yet full
     prefix = grown._prefix
     assert 70_001 < len(prefix) - 1 < grown.max_index
-    one_step = HarmonicTable(MAX_CAPACITY)
+    one_step = HarmonicTable()
     assert one_step._grow_prefix(len(prefix) - 1) == prefix
     assert prefix == list(_one_pass_prefix(len(prefix) - 1))
-    whole = HarmonicTable(MAX_CAPACITY)
+    whole = HarmonicTable()
     assert _le_bytes(grown.values) == _le_bytes(whole.values)
     assert hashlib.sha256(_le_bytes(whole.values)).hexdigest() == FULL_TABLE_SHA256
     assert len(whole._prefix) == 1  # reading values builds no prefix
 
 
 def test_concurrent_growth_gives_same_values():
-    reference = HarmonicTable(MAX_CAPACITY).values
+    reference = HarmonicTable().values
     reference_prefix = _int_digest(_one_pass_prefix(MAX_CAPACITY))
-    table = HarmonicTable(MAX_CAPACITY)
+    table = HarmonicTable()
     threads_n = 8
     barrier = threading.Barrier(threads_n)
     results: list = [None] * threads_n

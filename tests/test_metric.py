@@ -18,13 +18,10 @@ from harmdist import (
     harmonic,
     harmonic_diff,
 )
+from harmdist.propcheck import _Tier
 from helpers import random_seq, seq, symbol_seqs
 
-TABLE = HarmonicTable(10_000)
-
-
-def d(a, b):
-    return distance(a, b, table=TABLE)
+TABLE = HarmonicTable()
 
 
 # -- fixed values, checked against the rational oracle ------------------------
@@ -37,8 +34,8 @@ def test_zero_on_equal_strings():
     wide = SymbolSeq((256, 1, 70_000, 256, 2**40))
     for a in (seq("abc"), seq(""), long, wide):
         same = SymbolSeq(a.ids)
-        assert d(a, same) == 0.0 and math.copysign(1.0, d(a, same)) == 1.0
-        assert distance_decomposed(a, same, table=TABLE) == DistanceBreakdown(
+        assert distance(a, same) == 0.0 and math.copysign(1.0, distance(a, same)) == 1.0
+        assert distance_decomposed(a, same) == DistanceBreakdown(
             0.0, 0.0, 0.0
         )
         assert distance_exact(a, same) == Fraction(0)
@@ -46,30 +43,30 @@ def test_zero_on_equal_strings():
 
 def test_empty_versus_b_is_harmonic_of_length():
     b = seq("hello")
-    assert d(seq(""), b) == harmonic(TABLE, 5)
+    assert distance(seq(""), b) == harmonic(TABLE, 5)
     assert distance_exact(seq(""), seq("ab")) == Fraction(3, 2)
 
 
 def test_single_symbol_pair():
     assert distance_exact(seq("a"), seq("b")) == Fraction(1)
-    assert abs(d(seq("a"), seq("b")) - 1.0) <= 1e-12
+    assert abs(distance(seq("a"), seq("b")) - 1.0) <= 1e-12
 
 
 def test_one_substitution_at_length_three():
     assert distance_exact(seq("abc"), seq("abd")) == Fraction(1, 2)
-    assert abs(d(seq("abc"), seq("abd")) - 0.5) <= 1e-12
+    assert abs(distance(seq("abc"), seq("abd")) - 0.5) <= 1e-12
 
 
 def test_decomposition_examples():
-    both = distance_decomposed(seq("abc"), seq("abc"), table=TABLE)
+    both = distance_decomposed(seq("abc"), seq("abc"))
     assert (both.insertion_cost, both.deletion_cost, both.total) == (0.0, 0.0, 0.0)
 
-    del_only = distance_decomposed(seq("ab"), seq("b"), table=TABLE)
+    del_only = distance_decomposed(seq("ab"), seq("b"))
     assert del_only.insertion_cost == 0.0
     assert abs(del_only.deletion_cost - 0.5) <= 1e-15
     assert abs(del_only.total - 0.5) <= 1e-15
 
-    sub = distance_decomposed(seq("a"), seq("b"), table=TABLE)
+    sub = distance_decomposed(seq("a"), seq("b"))
     assert abs(sub.insertion_cost - 0.5) <= 1e-15
     assert abs(sub.deletion_cost - 0.5) <= 1e-15
     assert abs(sub.total - 1.0) <= 1e-15
@@ -78,9 +75,9 @@ def test_decomposition_examples():
 def test_subsequence_fast_path_examples():
     # a subsequence a of b needs no fast path: with scs = |b| the formula
     # gives H_|b| - H_|a| itself
-    assert d(seq("xy"), seq("xy")) == 0.0
-    assert abs(d(seq("b"), seq("ab")) - 0.5) <= 1e-15
-    assert d(seq(""), seq("abcd")) == harmonic(TABLE, 4)
+    assert distance(seq("xy"), seq("xy")) == 0.0
+    assert abs(distance(seq("b"), seq("ab")) - 0.5) <= 1e-15
+    assert distance(seq(""), seq("abcd")) == harmonic(TABLE, 4)
 
 
 def test_exact_capacity_guard():
@@ -95,13 +92,13 @@ def test_exact_capacity_guard():
 @given(a=symbol_seqs(4, 48), b=symbol_seqs(4, 48))
 @settings(max_examples=200, deadline=None)
 def test_symmetry_is_bit_identical(a, b):
-    assert d(a, b) == d(b, a)
+    assert distance(a, b) == distance(b, a)
 
 
 @given(a=symbol_seqs(2, 10), b=symbol_seqs(2, 10))
 @settings(max_examples=300, deadline=None)
 def test_identity_of_indiscernibles(a, b):
-    value = d(a, b)
+    value = distance(a, b)
     if a.ids == b.ids:
         assert value == 0.0
     else:
@@ -112,17 +109,17 @@ def test_identity_of_indiscernibles(a, b):
 @given(a=symbol_seqs(3, 24), b=symbol_seqs(3, 24), c=symbol_seqs(3, 24))
 @settings(max_examples=300, deadline=None)
 def test_triangle_inequality_float(a, b, c):
-    assert d(a, c) <= d(a, b) + d(b, c) + 1e-9
+    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
 @given(a=symbol_seqs(4, 40), b=symbol_seqs(4, 40))
 @settings(max_examples=150, deadline=None)
 def test_decomposition_consistency(a, b):
-    parts = distance_decomposed(a, b, table=TABLE)
+    parts = distance_decomposed(a, b)
     assert parts.insertion_cost >= 0.0
     assert parts.deletion_cost >= 0.0
     assert abs(parts.total - (parts.insertion_cost + parts.deletion_cost)) <= 1e-12
-    assert abs(parts.total - d(a, b)) <= 1e-12
+    assert abs(parts.total - distance(a, b)) <= 1e-12
 
 
 @given(b=symbol_seqs(4, 40), data=st.data())
@@ -133,14 +130,14 @@ def test_fast_path_agrees_with_general_formula(b, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)))
     a = SymbolSeq(tuple(s for s, k in zip(b.ids, keep) if k))
     fast = harmonic_diff(TABLE, len(a.ids), len(b.ids))
-    assert d(a, b) == d(b, a) == fast
+    assert distance(a, b) == distance(b, a) == fast
 
 
 @given(a=symbol_seqs(3, 60), b=symbol_seqs(3, 60))
 @settings(max_examples=100, deadline=None)
 def test_float_matches_rational_oracle(a, b):
     exact = distance_exact(a, b)
-    assert abs(Fraction(d(a, b)) - exact) <= Fraction(1, 10 ** 9)
+    assert abs(Fraction(distance(a, b)) - exact) <= Fraction(1, 10 ** 9)
 
 
 def test_single_insertion_cost_shrinks_with_length():
@@ -149,7 +146,7 @@ def test_single_insertion_cost_shrinks_with_length():
     for n in range(1, 60):
         a = SymbolSeq((0,) * n)
         b = SymbolSeq((0,) * n + (1,))
-        value = d(a, b)
+        value = distance(a, b)
         assert abs(value - 1.0 / (n + 1)) <= 1e-12
         if previous is not None:
             assert value < previous
@@ -205,20 +202,31 @@ def test_distances_equal_scalar_distance_on_criterion_6_groups():
         assert got[0] == 0.0
 
 
-def test_distances_with_a_table_and_an_engine():
+def test_distances_equal_distance_with_each_engine():
     corpus = [seq("kitten"), seq("sitting"), seq(""), seq("kitten")]
     q = seq("mitten")
-    # the batched forms take no engine and read the default table; the
-    # scalar form gives their values with each oracle engine and this table
+    # the batched forms take no engine; the scalar form gives their values
+    # with each oracle engine
     got = distances(q, corpus)
     for engine in ("auto", "dp", "huntszymanski"):
-        assert [distance(q, s, table=TABLE, engine=engine) for s in corpus] == got
+        assert [distance(q, s, engine=engine) for s in corpus] == got
     assert distances(q, []) == []
     assert distances(seq(""), [seq("")]) == [0.0]
 
 
+@given(a=symbol_seqs(4, 200), b=symbol_seqs(4, 200))
+@settings(max_examples=150, deadline=None)
+def test_no_table_changes_a_distance(a, b):
+    # every distance reads the one harmonic table; a fresh table in the
+    # float tier is only a second cache of the same entries
+    want = distance(a, b)
+    assert distances(a, [b])[0] == want
+    assert distance_decomposed(a, b).total == want
+    assert _Tier(False, HarmonicTable()).dist(a, b) == want
+
+
 def test_breakdown_is_an_immutable_value():
-    bd = distance_decomposed(seq("abc"), seq("abd"), table=TABLE)
+    bd = distance_decomposed(seq("abc"), seq("abd"))
     same = DistanceBreakdown(bd.insertion_cost, bd.deletion_cost, bd.total)
     assert bd == same and hash(bd) == hash(same)
     assert bd != DistanceBreakdown(bd.deletion_cost, bd.insertion_cost, bd.total + 1)

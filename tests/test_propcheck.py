@@ -25,7 +25,7 @@ from harmdist.propcheck import (
 )
 from helpers import seq
 
-TABLE = HarmonicTable(10_000)
+TABLE = HarmonicTable()
 
 
 # -- generators ----------------------------------------------------------------

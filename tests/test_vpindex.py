@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from harmdist import HarmonicTable, IndexFormatError, SymbolSeq, VpTree, distance
+from harmdist import IndexFormatError, SymbolSeq, VpTree, distance
 from harmdist import vpindex
 from harmdist.vpindex import LEAF_SIZE
 from helpers import (
@@ -17,8 +17,6 @@ from helpers import (
     hvpt_bytes,
     random_seq,
 )
-
-TABLE = HarmonicTable(10_000)
 
 
 def make_corpus(n, seed=0, alphabet=4, max_length=48):
@@ -37,13 +35,13 @@ def wide_alphabet_corpus(n, seed):
 
 def linear_range(corpus, q, r):
     return {
-        i for i, s in enumerate(corpus) if distance(q, s, table=TABLE) <= r
+        i for i, s in enumerate(corpus) if distance(q, s) <= r
     }
 
 
 def linear_knn(corpus, q, k):
     ranked = sorted(
-        (distance(q, s, table=TABLE), i) for i, s in enumerate(corpus)
+        (distance(q, s), i) for i, s in enumerate(corpus)
     )
     return [(i, d) for d, i in ranked[:k]]
 
@@ -154,7 +152,7 @@ def test_search_equals_the_oracle_search(monkeypatch):
     ):
         corpus = corpus_of(4, 300)
         queries = [corpus[0], corpus[150], *corpus_of(9, 4)]
-        wide = sorted(distance(queries[2], s, table=TABLE) for s in corpus)[30]
+        wide = sorted(distance(queries[2], s) for s in corpus)[30]
 
         def run_all():
             t = VpTree.build(corpus, seed=7)
@@ -569,7 +567,7 @@ def test_load_accepts_a_hand_made_partition(tmp_path):
     assert p - 1 <= LEAF_SIZE and n - p <= LEAF_SIZE
     corpus = make_corpus(n)
     ranked = sorted(
-        (distance(corpus[-1], s, table=TABLE), i) for i, s in enumerate(corpus[:-1])
+        (distance(corpus[-1], s), i) for i, s in enumerate(corpus[:-1])
     )
     order = [n - 1] + [i for _, i in reversed(ranked[: p - 1])]
     order += [i for _, i in ranked[p - 1 :]]

@@ -63,10 +63,10 @@ FIXED_POINT_SHIFT = 53 + MAX_CAPACITY.bit_length() + 2
 class HarmonicTable:
     """Prefix table of H_0..H_N in double precision, grown on demand.
 
-    ``max_index`` is N, always ``MAX_CAPACITY``; every table holds the
-    same entries, so a second table is only a second cache.  Entries are
-    materialized only up to the largest index requested so far, doubling
-    each time; reading ``values`` materializes all of them.
+    N is always ``MAX_CAPACITY``; every table holds the same entries, so
+    a second table is only a second cache.  Entries are materialized only
+    up to the largest index requested so far, doubling each time; reading
+    ``values`` materializes all of them.
 
     Entries come from error-feedback summation: the exact running sum is
     carried in a hi/lo double-double pair, and each stored entry is the
@@ -86,10 +86,9 @@ class HarmonicTable:
     them.
     """
 
-    __slots__ = ("max_index", "_values", "_prefix", "_state", "_lock")
+    __slots__ = ("_values", "_prefix", "_state", "_lock")
 
     def __init__(self):
-        self.max_index = MAX_CAPACITY
         self._values = array("d", [0.0])
         self._prefix = [0]
         self._state = (0.0, 0.0, 0.0)  # (hi, lo, v) after the last entry
@@ -97,11 +96,11 @@ class HarmonicTable:
 
     @property
     def values(self) -> array:
-        """All entries H_0..H_max_index (materializes the whole table)."""
-        return self._grow(self.max_index)
+        """All entries H_0..H_MAX_CAPACITY (materializes the whole table)."""
+        return self._grow(MAX_CAPACITY)
 
     def _grow(self, n: int) -> array:
-        """Materialize entries through at least index n <= max_index.
+        """Materialize entries through at least index n <= MAX_CAPACITY.
 
         Readers hold whichever array they loaded; a grown copy is swapped
         in whole, so no reader ever sees a half-written entry.
@@ -111,7 +110,7 @@ class HarmonicTable:
             done = len(values) - 1
             if n <= done:
                 return values
-            target = min(max(n, 2 * done, MIN_CAPACITY), self.max_index)
+            target = min(max(n, 2 * done, MIN_CAPACITY), MAX_CAPACITY)
             values = array("d", values)
             hi, lo, v = self._state
             nextafter = math.nextafter
@@ -139,14 +138,14 @@ class HarmonicTable:
             return values
 
     def _grow_prefix(self, n: int) -> list[int]:
-        """Build exact prefixes through at least index n <= max_index,
+        """Build exact prefixes through at least index n <= MAX_CAPACITY,
         doubling as ``_grow`` does, and swap the grown copy in whole."""
         with self._lock:
             prefix = self._prefix
             done = len(prefix) - 1
             if n <= done:
                 return prefix
-            target = min(max(n, 2 * done, MIN_CAPACITY), self.max_index)
+            target = min(max(n, 2 * done, MIN_CAPACITY), MAX_CAPACITY)
             prefix = prefix[:]
             p = prefix[-1]
             ldexp = math.ldexp
@@ -157,7 +156,7 @@ class HarmonicTable:
             return prefix
 
     def __repr__(self) -> str:
-        return f"HarmonicTable(max_index={self.max_index})"
+        return "HarmonicTable()"
 
 
 _DEFAULT_TABLE = HarmonicTable()  # materializes entries only when read
@@ -190,7 +189,7 @@ def harmonic(table: HarmonicTable, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
-    if n <= table.max_index:
+    if n <= MAX_CAPACITY:
         try:
             return table._values[n]
         except IndexError:
@@ -215,7 +214,7 @@ def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
         raise ValueError(f"harmonic_diff requires lo <= hi, got ({lo}, {hi})")
     if lo == hi:
         return 0.0
-    if hi - lo <= DIRECT_SUM_SPAN and hi <= table.max_index:
+    if hi - lo <= DIRECT_SUM_SPAN and hi <= MAX_CAPACITY:
         prefix = table._prefix
         try:
             span = prefix[hi] - prefix[lo]

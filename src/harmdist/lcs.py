@@ -2,7 +2,9 @@
 
 Several engines share one contract (the exact LCS length).  The
 bit-parallel engine (Allison & Dix 1986; Hyyro 2004) is the production
-one.  One row update, ``_advance``, serves it in two forms:
+one.  One row update, ``_advance``, serves it in two forms; it is
+Hyyro's u = row & mask, row = (row + u) | (row - u), with ``row ^ u``
+for ``row - u``, which is equal because u is a subset of row:
 
 * scalar: one string along the bits of one integer, with its match masks
   built once.  ``lcs_profile(q)`` lays q along the bits for every string
@@ -295,10 +297,13 @@ def _advance(
 ) -> int:
     """The row after one update per symbol of ids that has a mask:
 
-        u = row & mask;  row = ((row + u) | (row - u)) & full
+        u = row & mask;  row = ((row + u) | (row ^ u)) & full
 
     starting from ``full``, where the carry propagation of ``row + u``
     performs the per-run merge the classic recurrence does cell by cell.
+    Hyyro's form subtracts u, but u is a subset of row, so ``row - u``
+    never borrows and equals ``row ^ u`` (row AND NOT mask), which
+    Python computes without a carry chain.
     The same update serves one string along the bits and every lane of
     the packed text that ``full`` selects.  ``mask_of`` gives a symbol's
     mask: the ``get`` of a dict of masks (the profile's, or the table
@@ -310,7 +315,7 @@ def _advance(
     row = full
     for mask in filter(None, map(mask_of, ids)):
         u = row & mask
-        row = ((row + u) | (row - u)) & full
+        row = ((row + u) | (row ^ u)) & full
     return row
 
 
@@ -417,7 +422,7 @@ def lcs_lens(q: SymbolSeq, corpus: Sequence[SymbolSeq]) -> list[int]:
     if type(q.ids) is bytes and _packs(corpus):
         text = b"".join([_lane(s) for s in corpus])
         mask_of = _stepped_masks(text, set(q.ids))
-        return _lcs_packed([(q.ids, 0)], mask_of, corpus, text)[0]
+        return _lcs_packed([(q.ids, 0)], mask_of, corpus)[0]
     return list(map(lcs_profile(q), corpus))
 
 
@@ -443,7 +448,7 @@ def lcs_rows(seqs: Sequence[SymbolSeq]) -> list[list[int]]:
     symbols = set().union(*[q.ids for q in seqs[:-1]])
     stepped = _stepped_masks(text, symbols)
     table = {s: mask for s in symbols if (mask := stepped(s))}
-    return _lcs_packed(queries, table.get, seqs, text) + [[]]
+    return _lcs_packed(queries, table.get, seqs) + [[]]
 
 
 def _packs(seqs: Sequence[SymbolSeq]) -> bool:
@@ -480,11 +485,10 @@ def _lcs_packed(
     queries: list[tuple[bytes, int]],
     mask_of: Callable[[int], int | None],
     corpus: Sequence[SymbolSeq],
-    text: bytes,
 ) -> list[list[int]]:
     """For each query (ids, start), its LCS lengths against the corpus
     strings from lane ``start`` on, one row of updates over the packed
-    ``text`` of the corpus.  Every row takes its masks from ``mask_of``,
+    text of the corpus.  Every row takes its masks from ``mask_of``,
     which gives each query id's match mask over the whole text: the
     function of ``_stepped_masks``, or the ``get`` of a table of masks."""
     lengths = [len(s.ids) for s in corpus]
@@ -535,28 +539,18 @@ def _bit_planes(lanes: bytes, top: int) -> tuple[int, list[int]]:
 def _plane_masks(root: int, planes: list[int], values: Iterable[int]) -> dict[int, int]:
     """The mask of each value below 2 ** len(planes) that has one: root
     AND, for each bit k, plane k where the value has bit k set and its
-    complement where it has not.  Values are split on their bits from the
-    highest down, as in a binary trie, so values that share high bits
-    share the ANDs that select them: a split costs an AND for the ones
-    side and an XOR for the zeros side, and a branch whose mask is 0
-    stops.  Only masks that are not 0 are kept.
+    complement where it has not.  Each plane is paired once with
+    root ^ plane, which within root is its complement, so a value's mask
+    is root and one AND per plane.  Only masks that are not 0 are kept.
     """
+    pairs = [(root ^ plane, plane) for plane in planes]
     masks: dict[int, int] = {}
-    stack = [(root, len(planes), sorted(values))]
-    while stack:
-        mask, k, vs = stack.pop()
-        if not k:
-            masks[vs[0]] = mask
-            continue
-        k -= 1
-        ones = mask & planes[k]
-        cut = bisect_left(vs, (vs[0] >> k | 1) << k)
-        if cut < len(vs) and ones:
-            stack.append((ones, k, vs[cut:]))
-        if cut:
-            zeros = mask ^ ones
-            if zeros:
-                stack.append((zeros, k, vs[:cut]))
+    for v in values:
+        mask = root
+        for k, pair in enumerate(pairs):
+            mask &= pair[v >> k & 1]
+        if mask:
+            masks[v] = mask
     return masks
 
 

@@ -298,12 +298,11 @@ class _Tier:
         return gap < -tolerance, gap, None
 
 
-def broken_min_lcs_distance(
-    *, rational: bool, table: HarmonicTable | None = None
-) -> Dist:
+def broken_min_lcs_distance(*, rational: bool) -> Dist:
     """Deliberately wrong distance with the LCS length replaced by
-    min(|a|, |b|); exists to prove the harness catches planted bugs."""
-    tier = _Tier(rational, table)
+    min(|a|, |b|); exists to prove the harness catches planted bugs.  Its
+    float tier reads ``default_table()``, as ``distance`` does."""
+    tier = _Tier(rational)
     return lambda a, b: tier.from_lengths(
         len(a.ids), len(b.ids), min(len(a.ids), len(b.ids))
     )

@@ -100,7 +100,8 @@ def _inner_nodes(n: int):
             stack += ((p, hi), (lo + 1, p))
 
 
-def _hash_corpus(h, corpus):
+def _digest(seed: int, corpus, body: bytes) -> bytes:
+    h = sha256(struct.pack("<Q", seed))
     h.update(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
     for s in corpus:
         if type(s.ids) is bytes:  # a byte per id hashes eight times faster than a u64
@@ -108,11 +109,6 @@ def _hash_corpus(h, corpus):
         else:
             tag = "H" if max(s.ids) < 65536 else "Q"
             h.update(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
-    return h
-
-
-def _digest(seed: int, corpus, body: bytes) -> bytes:
-    h = _hash_corpus(sha256(struct.pack("<Q", seed)), corpus)
     h.update(body)
     return h.digest()
 

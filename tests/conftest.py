@@ -36,10 +36,10 @@ def packed_calls(monkeypatch):
     calls = PackedCalls()
     real = lcs_mod._lcs_packed
 
-    def spy(queries, mask_of, corpus, text):
+    def spy(queries, mask_of, corpus):
         calls.extend(len(corpus) - start for _, start in queries)
         calls.sources.append(mask_of)
-        return real(queries, mask_of, corpus, text)
+        return real(queries, mask_of, corpus)
 
     monkeypatch.setattr(lcs_mod, "_lcs_packed", spy)
     return calls

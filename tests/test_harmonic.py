@@ -293,7 +293,6 @@ def _le_bytes(values) -> bytes:
 
 def test_construction_materializes_nothing():
     table = HarmonicTable()
-    assert table.max_index == MAX_CAPACITY
     assert len(table._values) == 1
     assert harmonic(table, 5) == table._values[5]
     assert len(table._values) < 1000
@@ -318,9 +317,9 @@ def test_growth_in_irregular_steps_is_bit_identical():
     for n in (10, 1000, 70_000, 3, 70_001):
         harmonic(grown, n)
         harmonic_diff(grown, n - 1, n)
-    assert len(grown._values) - 1 < grown.max_index  # not yet full
+    assert len(grown._values) - 1 < MAX_CAPACITY  # not yet full
     prefix = grown._prefix
-    assert 70_001 < len(prefix) - 1 < grown.max_index
+    assert 70_001 < len(prefix) - 1 < MAX_CAPACITY
     one_step = HarmonicTable()
     assert one_step._grow_prefix(len(prefix) - 1) == prefix
     assert prefix == list(_one_pass_prefix(len(prefix) - 1))

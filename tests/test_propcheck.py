@@ -199,7 +199,7 @@ def test_planted_bug_is_detected():
 
 def test_planted_bug_float_tier_also_fires():
     cfg = GenConfig(alphabet_size=2, max_length=3, mode="exhaustive")
-    dist = broken_min_lcs_distance(rational=False, table=TABLE)
+    dist = broken_min_lcs_distance(rational=False)
     report = verify_metric_axioms(cfg, rational=False, dist=dist, table=TABLE)
     assert report.total_violations > 0
 

@@ -307,23 +307,16 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"harmdist: {exc}", file=sys.stderr)
-        return exc.code
-    except IndexFormatError as exc:
-        print(f"harmdist: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CapacityError as exc:
-        print(f"harmdist: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes first
         # stdout's reader has gone: say nothing, and point stdout at the
         # null device so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
-    except OSError as exc:
+    except (CliError, CapacityError, IndexFormatError, OSError) as exc:
         print(f"harmdist: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_USAGE if isinstance(exc, CapacityError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError
-from .harmonic import default_table, harmonic_diff, harmonic_exact, HarmonicTable
+from .harmonic import EXACT_LIMIT, HarmonicTable, default_table
+from .harmonic import harmonic_diff, harmonic_exact
 from .lcs import (
     Engine,
     SymbolSeq,
@@ -36,9 +37,6 @@ from .lcs import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-#: Exact evaluation is guarded at |a| + |b| <= this (rational blowup).
-EXACT_LENGTH_LIMIT = 10_000
 
 
 class DistanceBreakdown(NamedTuple):
@@ -130,24 +128,21 @@ def distance_exact(
     b: SymbolSeq,
     engine: Engine = "auto",
 ) -> Fraction:
-    """The defining formula in exact rational arithmetic."""
+    """The defining formula in exact rational arithmetic, guarded at
+    |a| + |b| <= ``EXACT_LIMIT``, the bound of ``harmonic_exact``."""
     la, lb = len(a.ids), len(b.ids)
-    if la + lb > EXACT_LENGTH_LIMIT:
+    if la + lb > EXACT_LIMIT:
         raise CapacityError(
-            f"exact distance is limited to |a| + |b| <= {EXACT_LENGTH_LIMIT}, "
+            f"exact distance is limited to |a| + |b| <= {EXACT_LIMIT}, "
             f"got {la + lb}"
         )
-    return _distance_exact_from_lengths(la, lb, lcs_len(a, b, engine))
+    scs = la + lb - lcs_len(a, b, engine)
+    return 2 * harmonic_exact(scs) - harmonic_exact(la) - harmonic_exact(lb)
 
 
 def _distance_from_lengths(
     la: int, lb: int, lcs: int, table: HarmonicTable
 ) -> float:
-    """Distance forced by the three lengths alone (shared with propcheck)."""
+    """Distance forced by the three lengths alone."""
     scs = la + lb - lcs
     return harmonic_diff(table, la, scs) + harmonic_diff(table, lb, scs)
-
-
-def _distance_exact_from_lengths(la: int, lb: int, lcs: int) -> Fraction:
-    scs = la + lb - lcs
-    return 2 * harmonic_exact(scs) - harmonic_exact(la) - harmonic_exact(lb)

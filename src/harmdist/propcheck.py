@@ -1,13 +1,17 @@
 """Executable verification of the metric axioms and supporting identities.
 
 Every property is written once, as a gap: a signed margin, negative
-meaning broken.  One private arithmetic tier evaluates the gaps and
-judges them.  The rational tier evaluates every distance exactly and
-calls any negative gap a violation; it is the authority.  The float tier
-computes the production formula, bit for bit ``distance``, and tolerates
-bounded rounding (AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the
-equalities).  A suite's ``table`` only picks which harmonic cache grows:
-every table holds the same entries, so no report depends on it.
+meaning broken.  One private arithmetic tier evaluates the gaps; the two
+tiers differ in the harmonic span ``diff``, in the floor below which a
+gap is a violation, and in how a reported gap is judged.  The rational tier
+evaluates every distance exactly and calls any negative gap a violation;
+it is the authority.  The float tier computes the production formula,
+bit for bit ``distance``, and tolerates bounded rounding
+(AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the equalities).  A gap
+is counted against the floor and judged only when it is reported: as a
+stored counterexample or as a property's minimum.  A suite's ``table``
+only picks which harmonic cache grows: every table holds the same
+entries, so no report depends on it.
 Checks run either exhaustively over every string on a small alphabet or
 statistically over seeded random samples; both modes feed the same gap
 definitions, and in both the report is a pure function of (config, seed).
@@ -41,11 +45,7 @@ from typing import Literal, get_args
 from .errors import CapacityError
 from .harmonic import HarmonicTable, default_table, harmonic_diff, harmonic_exact
 from .lcs import SymbolSeq, is_subsequence, lcs_len
-from .metric import (
-    _distance_exact_from_lengths,
-    _distance_from_lengths,
-    distance_exact,
-)
+from .metric import distance_exact
 
 AXIOM_TOLERANCE = 1e-9
 LEMMA_TOLERANCE = 1e-12
@@ -260,10 +260,12 @@ Dist = Callable[[SymbolSeq, SymbolSeq], float | Fraction]
 class _Tier:
     """Exact or float arithmetic over one harmonic table.
 
-    This is the only place the two tiers differ: the rational tier
-    computes with ``Fraction`` and calls any negative gap a violation; the
-    float tier computes the production formula, bit for bit ``distance``,
-    and forgives gaps down to ``-tolerance``.
+    The tiers differ in ``diff``, in ``judge`` and in the floor a
+    ``_Collector`` counts violations against; ``from_lengths`` is derived
+    from ``diff``, and the rational ``dist`` is ``distance_exact`` for its
+    length guard.  The rational tier computes with ``Fraction`` and its
+    floor is 0; the float tier computes the production formula, bit for
+    bit ``distance``, and its floor is ``-tolerance``.
     """
 
     def __init__(self, rational: bool, table: HarmonicTable | None = None):
@@ -274,15 +276,7 @@ class _Tier:
     def dist(self, a: SymbolSeq, b: SymbolSeq):
         if self.rational:
             return distance_exact(a, b)
-        return _distance_from_lengths(
-            len(a.ids), len(b.ids), lcs_len(a, b), self.table
-        )
-
-    def from_lengths(self, la: int, lb: int, lcs: int):
-        """The distance forced by the three lengths alone."""
-        if self.rational:
-            return _distance_exact_from_lengths(la, lb, lcs)
-        return _distance_from_lengths(la, lb, lcs, self.table)
+        return self.from_lengths(len(a.ids), len(b.ids), lcs_len(a, b))
 
     def diff(self, lo: int, hi: int):
         """H_hi - H_lo."""
@@ -290,12 +284,18 @@ class _Tier:
             return harmonic_exact(hi) - harmonic_exact(lo)
         return harmonic_diff(self.table, lo, hi)
 
-    def judge(self, gap, tolerance: float) -> tuple[bool, float, Fraction | None]:
-        """(violated, slack, exact_slack) of one gap."""
+    def from_lengths(self, la: int, lb: int, lcs: int):
+        """The distance forced by the three lengths alone: the production
+        formula in the float tier, 2 H_scs - H_la - H_lb in the rational."""
+        scs = la + lb - lcs
+        return self.diff(la, scs) + self.diff(lb, scs)
+
+    def judge(self, gap, floor) -> tuple[bool, float, Fraction | None]:
+        """(violated, slack, exact_slack) of one gap against a floor."""
         if self.rational:
-            return gap < 0, float(gap), gap
+            return gap < floor, float(gap), gap
         gap += 0.0  # normalize -0.0 away
-        return gap < -tolerance, gap, None
+        return gap < floor, gap, None
 
 
 def broken_min_lcs_distance(*, rational: bool) -> Dist:
@@ -339,17 +339,20 @@ def _triangle_gap(dab, dbc, dac):
 
 
 class _Collector:
-    """Accumulates the judged gaps of one property.
+    """Counts the gaps of one property below its violation floor: 0 in
+    the rational tier, ``-tolerance`` in the float tier.
 
-    ``gap`` evaluates the property on any triple; it makes the checker
-    that counterexamples carry for shrinking.
+    A gap is judged only when it is reported, as a stored counterexample
+    or as the minimum.  ``gap`` evaluates the property on any triple; it
+    makes the checker that counterexamples carry for shrinking.
     """
 
     def __init__(self, name: str, tier: _Tier, tolerance: float, gap):
         self.name = name
         self.tier = tier
-        self.tolerance = tolerance
-        self.checker: Checker = lambda t: tier.judge(gap(t), tolerance)
+        self.gap = gap
+        self.floor = 0 if tier.rational else -tolerance
+        self.checker: Checker = lambda t: tier.judge(gap(t), self.floor)
         self.checked = 0
         self.violations = 0
         self.counterexamples: list[Counterexample] = []  # the first MAX_STORED
@@ -359,13 +362,19 @@ class _Collector:
         self.checked += 1
         if self.min_gap is None or gap < self.min_gap:
             self.min_gap = gap
-        violated, slack, exact = self.tier.judge(gap, self.tolerance)
-        if violated:
+        if gap < self.floor:
             self.violations += 1
             if len(self.counterexamples) < MAX_STORED:
+                _, slack, exact = self.tier.judge(gap, self.floor)
                 self.counterexamples.append(
                     Counterexample(triple, self.name, slack, exact, self.checker)
                 )
+
+    def run(self, triples, seed: int | None) -> VerificationReport:
+        """Record ``gap`` over every triple: the report of one property."""
+        for triple in triples:
+            self.record(triple, self.gap(triple))
+        return VerificationReport([self.report(seed)])
 
     def report(self, seed: int | None) -> PropertyReport:
         # ids as tuples, so that byte and tuple ids compare alike
@@ -375,7 +384,7 @@ class _Collector:
         )
         slack = exact = None
         if self.min_gap is not None:
-            _, slack, exact = self.tier.judge(self.min_gap, self.tolerance)
+            _, slack, exact = self.tier.judge(self.min_gap, self.floor)
         return PropertyReport(
             self.name, self.checked, self.violations, cxs, slack, exact, seed
         )
@@ -441,20 +450,6 @@ def verify_metric_axioms(
 # lemma suites
 
 
-def _run_property(
-    name: str,
-    tier: _Tier,
-    tolerance: float,
-    gap,
-    triples: Iterable[tuple[SymbolSeq, SymbolSeq, SymbolSeq]],
-    seed: int | None,
-) -> VerificationReport:
-    collector = _Collector(name, tier, tolerance, gap)
-    for triple in triples:
-        collector.record(triple, gap(triple))
-    return VerificationReport([collector.report(seed)])
-
-
 def verify_lemma_scs(
     pairs: Iterable[tuple[SymbolSeq, SymbolSeq]],
     *,
@@ -473,7 +468,7 @@ def verify_lemma_scs(
         return -abs(tier.dist(a, b) - (tier.diff(la, scs) + tier.diff(lb, scs)))
 
     triples = ((a, b, EMPTY) for a, b in pairs)
-    return _run_property("lemma_scs", tier, LEMMA_TOLERANCE, gap, triples, seed)
+    return _Collector("lemma_scs", tier, LEMMA_TOLERANCE, gap).run(triples, seed)
 
 
 def verify_lemma_chain(
@@ -507,9 +502,8 @@ def verify_lemma_chain(
                 )
             yield a, b, c
 
-    return _run_property(
-        "lemma_chain", tier, LEMMA_TOLERANCE, gap, validated(), seed
-    )
+    collector = _Collector("lemma_chain", tier, LEMMA_TOLERANCE, gap)
+    return collector.run(validated(), seed)
 
 
 def verify_lemma_lcs_triangle(
@@ -529,9 +523,8 @@ def verify_lemma_lcs_triangle(
         return tier.diff(lcs, len(a.ids)) + tier.diff(lcs, len(b.ids)) - tier.dist(a, b)
 
     triples = ((a, b, EMPTY) for a, b in pairs)
-    return _run_property(
-        "lemma_lcs_triangle", tier, AXIOM_TOLERANCE, gap, triples, seed
-    )
+    collector = _Collector("lemma_lcs_triangle", tier, AXIOM_TOLERANCE, gap)
+    return collector.run(triples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from harmdist import (
     distances,
     harmonic,
     harmonic_diff,
+    lcs_len,
 )
 from harmdist.propcheck import _Tier
 from helpers import random_seq, seq, symbol_seqs
@@ -218,11 +219,16 @@ def test_distances_equal_distance_with_each_engine():
 @settings(max_examples=150, deadline=None)
 def test_no_table_changes_a_distance(a, b):
     # every distance reads the one harmonic table; a fresh table in the
-    # float tier is only a second cache of the same entries
+    # float tier is only a second cache of the same entries.  Each tier's
+    # distance from two harmonic spans is its own formula: bit for bit in
+    # floats, exactly in Fractions.
     want = distance(a, b)
     assert distances(a, [b])[0] == want
     assert distance_decomposed(a, b).total == want
     assert _Tier(False, HarmonicTable()).dist(a, b) == want
+    lengths = len(a.ids), len(b.ids), lcs_len(a, b)
+    assert _Tier(False, HarmonicTable()).from_lengths(*lengths) == want
+    assert _Tier(True).from_lengths(*lengths) == distance_exact(a, b)
 
 
 def test_breakdown_is_an_immutable_value():

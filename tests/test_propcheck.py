@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,10 @@ from harmdist import (
     verify_metric_axioms,
 )
 from harmdist.propcheck import (
+    AXIOM_TOLERANCE,
     EMPTY,
+    _Collector,
+    _Tier,
     all_pairs,
     broken_min_lcs_distance,
     random_chains,
@@ -202,6 +206,35 @@ def test_planted_bug_float_tier_also_fires():
     dist = broken_min_lcs_distance(rational=False)
     report = verify_metric_axioms(cfg, rational=False, dist=dist, table=TABLE)
     assert report.total_violations > 0
+
+
+def test_gaps_are_judged_once_at_the_floor(monkeypatch):
+    judged = []
+    judge = _Tier.judge
+
+    def spy(self, gap, floor):
+        judged.append(gap)
+        return judge(self, gap, floor)
+
+    monkeypatch.setattr(_Tier, "judge", spy)
+    verify_metric_axioms(GenConfig(2, 3), rational=True)
+    assert len(judged) == 3  # the three minima
+    judged.clear()
+    fixture_report()
+    assert len(judged) == 3 + 155  # and the stored identity counterexamples
+
+    # a gap at the floor is no violation, and the next one below it is
+    below_tolerance = math.nextafter(-AXIOM_TOLERANCE, -math.inf)
+    for tier, at, below in (
+        (_Tier(False), -AXIOM_TOLERANCE, below_tolerance),
+        (_Tier(True), Fraction(0), Fraction(-1, 10**30)),
+    ):
+        collector = _Collector("edge", tier, AXIOM_TOLERANCE, gap=None)
+        collector.record((EMPTY, EMPTY, EMPTY), at)
+        assert collector.violations == 0
+        collector.record((EMPTY, EMPTY, EMPTY), below)
+        assert collector.violations == 1
+        assert collector.counterexamples[0].slack == float(below)
 
 
 def test_shrink_reaches_local_minimum():

@@ -15,6 +15,9 @@ entries, so no report depends on it.
 Checks run either exhaustively over every string on a small alphabet or
 statistically over seeded random samples; both modes feed the same gap
 definitions, and in both the report is a pure function of (config, seed).
+``verify_all`` runs every suite, in the order ``harmdist check`` prints
+them.  ``FIXTURES`` maps the name of each planted-bug distance to its
+factory, and is the only list of those names.
 
 The gap of each property, reported as the counterexample's slack:
 
@@ -458,7 +461,15 @@ def verify_lemma_scs(
     seed: int | None = None,
 ) -> VerificationReport:
     """The distance splits exactly at a shortest common supersequence:
-    d(a, b) = d(a, scs) + d(scs, b), both terms needing only lengths."""
+    d(a, b) = d(a, scs) + d(scs, b), both terms needing only lengths.
+
+    Both sides of the gap are the same expression of |a|, |b| and the
+    LCS length, in both tiers, so this suite cannot fail: with
+    ``lcs_len`` replaced by min(|a|, |b|) it still reports no violation
+    and a minimum slack of 0, while the identity axiom catches that bug
+    155 times over alphabet 2, length 4.  Only a check that an edit path
+    attains the formula would test the split itself.
+    """
     tier = _Tier(rational, table)
 
     def gap(t):
@@ -527,8 +538,37 @@ def verify_lemma_lcs_triangle(
     return collector.run(triples, seed)
 
 
+def verify_all(
+    config: GenConfig, *, rational: bool = True, dist: Dist | None = None
+) -> VerificationReport:
+    """Everything ``harmdist check`` verifies, in its order: the axioms
+    (over ``dist`` when given), the two pair lemmas over every pair of the
+    universe or over seeded random pairs, then the chain lemma."""
+    if config.mode == "exhaustive":
+        strings = universe(config.alphabet_size, config.max_length)
+        pairs, seed = (lambda: all_pairs(strings)), None
+    else:
+        pairs, seed = (lambda: random_pairs(config)), config.seed
+    reports = [
+        verify_metric_axioms(config, dist=dist, rational=rational),
+        verify_lemma_scs(pairs(), seed=seed, rational=rational),
+        verify_lemma_lcs_triangle(pairs(), seed=seed, rational=rational),
+        verify_lemma_chain(random_chains(config), seed=config.seed, rational=rational),
+    ]
+    return VerificationReport([p for rep in reports for p in rep.properties])
+
+
 # ---------------------------------------------------------------------------
 # shrinking
+
+
+def _deletions(triple):
+    """Each triple one symbol shorter: the first string's positions in
+    ascending order, then the second string's, then the third's."""
+    for which, seq in enumerate(triple):
+        for pos in range(len(seq.ids)):
+            shorter = SymbolSeq(seq.ids[:pos] + seq.ids[pos + 1 :])
+            yield (*triple[:which], shorter, *triple[which + 1 :])
 
 
 def shrink(cx: Counterexample) -> Counterexample:
@@ -541,24 +581,14 @@ def shrink(cx: Counterexample) -> Counterexample:
     """
     if cx.checker is None:
         raise ValueError("counterexample carries no checker; cannot shrink")
-    violated, _, _ = cx.checker(cx.triple)
-    if not violated:
+
+    def violates(t) -> bool:
+        return cx.checker(t)[0]
+
+    triple = tuple(cx.triple)
+    if not violates(triple):
         raise ValueError("shrink requires a violating counterexample")
-    triple = list(cx.triple)
-    improved = True
-    while improved:
-        improved = False
-        for which in range(3):
-            ids = triple[which].ids
-            for pos in range(len(ids)):
-                candidate = triple.copy()
-                candidate[which] = SymbolSeq(ids[:pos] + ids[pos + 1 :])
-                ok, _, _ = cx.checker(tuple(candidate))
-                if ok:
-                    triple = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    _, slack, exact = cx.checker(tuple(triple))
-    return Counterexample(tuple(triple), cx.property, float(slack), exact, cx.checker)
+    while smaller := next(filter(violates, _deletions(triple)), None):
+        triple = smaller
+    _, slack, exact = cx.checker(triple)
+    return Counterexample(triple, cx.property, float(slack), exact, cx.checker)

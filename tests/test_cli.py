@@ -144,13 +144,6 @@ def test_every_public_name_resolves():
     assert out(r) == "36 [] True harmdist.vpindex\n"
 
 
-def test_fixture_choices_name_every_planted_bug():
-    from harmdist.cli import FIXTURE_NAMES
-    from harmdist.propcheck import FIXTURES
-
-    assert sorted(FIXTURE_NAMES) == sorted(FIXTURES)
-
-
 def test_dist_substitution():
     r = run("dist", "abc", "abd")
     assert out(r) == "0.500000000000\n"
@@ -639,6 +632,14 @@ def test_check_fixture_exits_three_with_counterexample():
     )
     assert r.returncode == 3
     assert "counterexample property=identity" in out(r)
+
+
+def test_check_unknown_fixture_is_a_usage_error_naming_the_known_ones():
+    r = run("check", "--fixture", "no-such-fixture")
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert b"broken-lcs" in r.stderr
+    assert b"Traceback" not in r.stderr
 
 
 def test_check_fixture_over_mixed_id_widths_reports_counterexamples():

@@ -9,6 +9,7 @@ from harmdist import (
     GenConfig,
     HarmonicTable,
     SymbolSeq,
+    VerificationReport,
     shrink,
     universe,
     verify_lemma_chain,
@@ -26,6 +27,7 @@ from harmdist.propcheck import (
     random_chains,
     random_pairs,
     random_triples,
+    verify_all,
 )
 from helpers import seq
 
@@ -181,6 +183,40 @@ def test_lemma_lcs_triangle_examples_and_exhaustive():
     report = verify_lemma_lcs_triangle(all_pairs(strings), rational=True, table=TABLE)
     assert report.properties[0].checked == 1600
     assert report.total_violations == 0
+
+
+# -- everything check runs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["rational", "float"])
+@pytest.mark.parametrize(
+    "config",
+    [GenConfig(2, 3), GenConfig(2, 8, sample_count=50, seed=4, mode="random")],
+    ids=["exhaustive", "random"],
+)
+def test_verify_all_runs_the_four_suites_in_order(config, rational):
+    if config.mode == "exhaustive":
+        strings = universe(config.alphabet_size, config.max_length)
+        pairs, seed = (lambda: all_pairs(strings)), None
+    else:
+        pairs, seed = (lambda: random_pairs(config)), config.seed
+    reports = [
+        verify_metric_axioms(config, rational=rational),
+        verify_lemma_scs(pairs(), seed=seed, rational=rational),
+        verify_lemma_lcs_triangle(pairs(), seed=seed, rational=rational),
+        verify_lemma_chain(random_chains(config), seed=config.seed, rational=rational),
+    ]
+    expected = VerificationReport([p for rep in reports for p in rep.properties])
+    assert verify_all(config, rational=rational).as_dict() == expected.as_dict()
+
+
+def test_verify_all_passes_the_distance_to_the_axioms_only():
+    dist = broken_min_lcs_distance(rational=True)
+    report = verify_all(GenConfig(2, 4), dist=dist)
+    by_name = {p.name: p.violations for p in report.properties}
+    assert by_name["identity"] == 155
+    assert by_name["triangle"] == 0
+    assert report.total_violations == 155
 
 
 # -- planted bug and shrinking ---------------------------------------------------

@@ -5,10 +5,14 @@
 Equivalently: grow ``a`` symbol by symbol into a shortest common
 supersequence, then shrink that to ``b``, where an edit touching a
 string of length k costs 1/k.  The distance satisfies the three metric
-axioms (see ``propcheck`` for the executable verification) and is
-evaluated here as a sum of two harmonic differences, which is
-algebraically identical to the defining formula but avoids cancellation
-between large harmonic values.
+axioms (see ``propcheck`` for the executable verification).
+
+The closed form is written once per arithmetic, over the three lengths:
+``_distance_from_lengths`` in floats, a sum of two harmonic differences,
+which is algebraically identical to the defining formula but avoids
+cancellation between large harmonic values; ``_exact_from_lengths`` in
+exact rationals.  Every distance here, and every distance ``propcheck``
+verifies, is a call to one of the two.
 
 Values are unbounded: d(empty, b) = H_|b| grows with |b|.  Clamping to
 [0, 1] would break the triangle inequality, so none is applied.
@@ -111,15 +115,16 @@ def distance_rows(seqs: Sequence[SymbolSeq]) -> list[array]:
 def distance_decomposed(a: SymbolSeq, b: SymbolSeq) -> DistanceBreakdown:
     """Split the distance into its insertion and deletion components.
 
-    Components are tied to the argument order (grow ``a``, then shrink to
-    ``b``); the total is order-independent and equals ``distance(a, b)``
-    bit for bit.
+    Components are tied to the argument order: d(a, S) grows ``a`` into a
+    shortest common supersequence S, and d(S, b) shrinks S to ``b``; each
+    is the closed form over lengths, with one span empty.  The total is
+    order-independent and equals ``distance(a, b)`` bit for bit.
     """
     table = default_table()
     la, lb = len(a.ids), len(b.ids)
     scs = la + lb - lcs_len(a, b)
-    ins = harmonic_diff(table, la, scs)
-    dele = harmonic_diff(table, lb, scs)
+    ins = _distance_from_lengths(la, scs, la, table)
+    dele = _distance_from_lengths(scs, lb, lb, table)
     return DistanceBreakdown(ins, dele, ins + dele)
 
 
@@ -136,13 +141,19 @@ def distance_exact(
             f"exact distance is limited to |a| + |b| <= {EXACT_LIMIT}, "
             f"got {la + lb}"
         )
-    scs = la + lb - lcs_len(a, b, engine)
-    return 2 * harmonic_exact(scs) - harmonic_exact(la) - harmonic_exact(lb)
+    return _exact_from_lengths(la, lb, lcs_len(a, b, engine))
 
 
 def _distance_from_lengths(
     la: int, lb: int, lcs: int, table: HarmonicTable
 ) -> float:
-    """Distance forced by the three lengths alone."""
+    """Distance forced by the three lengths alone: the float closed form,
+    a sum of two harmonic spans."""
     scs = la + lb - lcs
     return harmonic_diff(table, la, scs) + harmonic_diff(table, lb, scs)
+
+
+def _exact_from_lengths(la: int, lb: int, lcs: int) -> Fraction:
+    """The exact twin of ``_distance_from_lengths``: 2 H_scs - H_la - H_lb."""
+    scs = la + lb - lcs
+    return 2 * harmonic_exact(scs) - harmonic_exact(la) - harmonic_exact(lb)

@@ -1,17 +1,22 @@
 """Executable verification of the metric axioms and supporting identities.
 
 Every property is written once, as a gap: a signed margin, negative
-meaning broken.  One private arithmetic tier evaluates the gaps; the two
-tiers differ in the harmonic span ``diff``, in the floor below which a
-gap is a violation, and in how a reported gap is judged.  The rational tier
-evaluates every distance exactly and calls any negative gap a violation;
-it is the authority.  The float tier computes the production formula,
-bit for bit ``distance``, and tolerates bounded rounding
-(AXIOM_TOLERANCE for axioms, LEMMA_TOLERANCE for the equalities).  A gap
-is counted against the floor and judged only when it is reported: as a
-stored counterexample or as a property's minimum.  A suite's ``table``
-only picks which harmonic cache grows: every table holds the same
-entries, so no report depends on it.
+meaning broken.  One private arithmetic tier evaluates the gaps, and no
+tier states the closed form itself: the tiers differ in which ``metric``
+functions they call, in the floor below which a gap is a violation, and
+in how a reported gap is judged.  The rational tier calls
+``distance_exact`` and ``_exact_from_lengths``, so every distance is
+exact and any negative gap is a violation; it is the authority.  The
+float tier calls ``distance`` and ``_distance_from_lengths``, the code
+the CLI runs, and tolerates bounded rounding (AXIOM_TOLERANCE for
+axioms, LEMMA_TOLERANCE for the equalities).  The exhaustive axioms take
+the upper triangle of the distance matrix from one batched ``lcs_rows``
+call, the path ``harmdist matrix`` prints, and the diagonal and lower
+triangle from the scalar distance, so symmetry compares the packed LCS
+kernel with the scalar one.  A gap is counted against the floor and
+judged only when it is reported: as a stored counterexample or as a
+property's minimum.  A suite's ``table`` only picks which harmonic cache
+grows: every table holds the same entries, so no report depends on it.
 Checks run either exhaustively over every string on a small alphabet or
 statistically over seeded random samples; both modes feed the same gap
 definitions, and in both the report is a pure function of (config, seed).
@@ -26,9 +31,11 @@ The gap of each property, reported as the counterexample's slack:
                     smallest distance the formula permits for distinct
                     strings of those lengths
 * triangle          d(a,b) + d(b,c) - d(a,c)
-* supersequence split   -|d(a,b) - (d to scs + d from scs)|
+* supersequence split   -|d(a,b) - (d(a,S) + d(S,b))|, S a shortest
+                        common supersequence
 * chain additivity      -|d(a,c) - d(a,b) - d(b,c)|
-* lcs triangle          d(a, lcs) + d(lcs, b) - d(a,b)
+* lcs triangle          d(a,L) + d(L,b) - d(a,b), L a longest common
+                        subsequence
 
 Pair-scoped properties pad their witness to a triple with the empty
 string.  Checking is embarrassingly parallel in principle; this
@@ -46,9 +53,10 @@ from fractions import Fraction
 from typing import Literal, get_args
 
 from .errors import CapacityError
-from .harmonic import HarmonicTable, default_table, harmonic_diff, harmonic_exact
-from .lcs import SymbolSeq, is_subsequence, lcs_len
-from .metric import distance_exact
+from .harmonic import HarmonicTable, default_table
+from .lcs import SymbolSeq, is_subsequence, lcs_len, lcs_rows
+from .metric import _distance_from_lengths, _exact_from_lengths
+from .metric import distance, distance_exact
 
 AXIOM_TOLERANCE = 1e-9
 LEMMA_TOLERANCE = 1e-12
@@ -261,37 +269,29 @@ Dist = Callable[[SymbolSeq, SymbolSeq], float | Fraction]
 
 
 class _Tier:
-    """Exact or float arithmetic over one harmonic table.
+    """Exact or float arithmetic.
 
-    The tiers differ in ``diff``, in ``judge`` and in the floor a
-    ``_Collector`` counts violations against; ``from_lengths`` is derived
-    from ``diff``, and the rational ``dist`` is ``distance_exact`` for its
-    length guard.  The rational tier computes with ``Fraction`` and its
-    floor is 0; the float tier computes the production formula, bit for
-    bit ``distance``, and its floor is ``-tolerance``.
+    The tiers differ in the ``metric`` functions that ``dist`` and
+    ``from_lengths`` call, in ``judge`` and in the floor a ``_Collector``
+    counts violations against.  The rational tier calls
+    ``distance_exact`` (with its length guard) and ``_exact_from_lengths``,
+    computes with ``Fraction`` and its floor is 0; the float tier calls
+    ``distance`` and ``_distance_from_lengths``, the production code, and
+    its floor is ``-tolerance``.
     """
 
     def __init__(self, rational: bool, table: HarmonicTable | None = None):
         self.rational = rational
         self.table = table if table is not None else default_table()
-        self.zero = Fraction(0) if rational else 0.0
 
     def dist(self, a: SymbolSeq, b: SymbolSeq):
-        if self.rational:
-            return distance_exact(a, b)
-        return self.from_lengths(len(a.ids), len(b.ids), lcs_len(a, b))
-
-    def diff(self, lo: int, hi: int):
-        """H_hi - H_lo."""
-        if self.rational:
-            return harmonic_exact(hi) - harmonic_exact(lo)
-        return harmonic_diff(self.table, lo, hi)
+        return distance_exact(a, b) if self.rational else distance(a, b)
 
     def from_lengths(self, la: int, lb: int, lcs: int):
-        """The distance forced by the three lengths alone: the production
-        formula in the float tier, 2 H_scs - H_la - H_lb in the rational."""
-        scs = la + lb - lcs
-        return self.diff(la, scs) + self.diff(lb, scs)
+        """The distance forced by the three lengths alone."""
+        if self.rational:
+            return _exact_from_lengths(la, lb, lcs)
+        return _distance_from_lengths(la, lb, lcs, self.table)
 
     def judge(self, gap, floor) -> tuple[bool, float, Fraction | None]:
         """(violated, slack, exact_slack) of one gap against a floor."""
@@ -422,7 +422,18 @@ def verify_metric_axioms(
     )
     if config.mode == "exhaustive":
         strings = universe(config.alphabet_size, config.max_length)
-        matrix = [[d(a, b) for b in strings] for a in strings]
+        if dist is None:  # the upper triangle by one lcs_rows call, as matrix
+            lens = [len(s.ids) for s in strings]
+            upper = [
+                [tier.from_lengths(la, lb, lcs) for lb, lcs in zip(lens[i + 1 :], row)]
+                for i, (la, row) in enumerate(zip(lens, lcs_rows(strings)))
+            ]
+        else:
+            upper = [[d(a, b) for b in strings[i + 1 :]] for i, a in enumerate(strings)]
+        # the diagonal and the lower triangle by the scalar distance, so
+        # that symmetry compares the batched LCS kernel with the scalar one
+        lower = [[d(a, b) for b in strings[: i + 1]] for i, a in enumerate(strings)]
+        matrix = [lo + up for lo, up in zip(lower, upper)]
         for i, a in enumerate(strings):
             ident.record((a, a, EMPTY), _identity_gap(tier, a, a, matrix[i][i]))
         for i, a in enumerate(strings):
@@ -476,7 +487,8 @@ def verify_lemma_scs(
         a, b = t[0], t[1]
         la, lb = len(a.ids), len(b.ids)
         scs = la + lb - lcs_len(a, b)
-        return -abs(tier.dist(a, b) - (tier.diff(la, scs) + tier.diff(lb, scs)))
+        split = tier.from_lengths(la, scs, la) + tier.from_lengths(scs, lb, lb)
+        return -abs(tier.dist(a, b) - split)
 
     triples = ((a, b, EMPTY) for a, b in pairs)
     return _Collector("lemma_scs", tier, LEMMA_TOLERANCE, gap).run(triples, seed)
@@ -501,7 +513,7 @@ def verify_lemma_chain(
     def gap(t):
         a, b, c = t
         if not (is_subsequence(a, b) and is_subsequence(b, c)):
-            return tier.zero  # shrinking left the chain: nothing to check
+            return 0  # shrinking left the chain: nothing to check
         return -abs(d(a, c) - d(a, b) - d(b, c))
 
     def validated():
@@ -530,8 +542,9 @@ def verify_lemma_lcs_triangle(
 
     def gap(t):
         a, b = t[0], t[1]
-        lcs = lcs_len(a, b)
-        return tier.diff(lcs, len(a.ids)) + tier.diff(lcs, len(b.ids)) - tier.dist(a, b)
+        la, lb, lcs = len(a.ids), len(b.ids), lcs_len(a, b)
+        routed = tier.from_lengths(la, lcs, lcs) + tier.from_lengths(lcs, lb, lcs)
+        return routed - tier.dist(a, b)
 
     triples = ((a, b, EMPTY) for a, b in pairs)
     collector = _Collector("lemma_lcs_triangle", tier, AXIOM_TOLERANCE, gap)

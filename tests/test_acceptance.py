@@ -15,6 +15,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from harmdist import (
     GenConfig,
     SymbolSeq,
@@ -153,6 +155,7 @@ def test_criterion_4_forced_values():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_engine_equivalence():
     t0 = time.perf_counter()
     rng = random.Random(51)
@@ -198,6 +201,7 @@ def test_criterion_5_engine_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_float_matches_rational():
     rng = random.Random(66)
     budget = Fraction(1, 10 ** 9)

@@ -362,7 +362,7 @@ def test_knn_stdout_is_the_same_under_every_engine(lines, mode, query, tmp_path)
     [
         (_acgt_lines(2_000, 1)[:150], "codepoints"),
         (_word_lines(400, 2), "words"),
-        (_wide_lines(400, 3), "codepoints"),
+        pytest.param(_wide_lines(400, 3), "codepoints", marks=pytest.mark.slow),
         (_sparse_lines(150, 8), "codepoints"),
         (_edge_lines(150, 13), "codepoints"),
     ],
@@ -642,6 +642,7 @@ def test_check_unknown_fixture_is_a_usage_error_naming_the_known_ones():
     assert b"Traceback" not in r.stderr
 
 
+@pytest.mark.slow
 def test_check_fixture_over_mixed_id_widths_reports_counterexamples():
     # over 300 symbols the universe holds byte ids (below 256) and tuple
     # ids (256 or more), and the counterexamples are sorted across both

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,10 @@ from harmdist import (
     HarmonicTable,
     SymbolSeq,
     VerificationReport,
+    distance_decomposed,
+    harmonic_diff,
+    harmonic_exact,
+    lcs_len,
     shrink,
     universe,
     verify_lemma_chain,
@@ -22,6 +27,7 @@ from harmdist.propcheck import (
     EMPTY,
     _Collector,
     _Tier,
+    _identity_gap,
     all_pairs,
     broken_min_lcs_distance,
     random_chains,
@@ -32,6 +38,9 @@ from harmdist.propcheck import (
 from helpers import seq
 
 TABLE = HarmonicTable()
+
+lcs_mod = importlib.import_module("harmdist.lcs")
+metric_mod = importlib.import_module("harmdist.metric")
 
 
 # -- generators ----------------------------------------------------------------
@@ -183,6 +192,78 @@ def test_lemma_lcs_triangle_examples_and_exhaustive():
     report = verify_lemma_lcs_triangle(all_pairs(strings), rational=True, table=TABLE)
     assert report.properties[0].checked == 1600
     assert report.total_violations == 0
+
+
+# -- the verified code is metric's ------------------------------------------------
+
+
+def test_float_axioms_evaluate_metrics_closed_form(monkeypatch):
+    # a skew planted in metric's float closed form reaches the float tier,
+    # which calls metric instead of a copy of the formula
+    closed_form = metric_mod._distance_from_lengths
+
+    def skewed(la, lb, lcs, table):
+        return closed_form(la, lb, lcs, table) + (1e-6 if la > lb else 0.0)
+
+    monkeypatch.setattr(metric_mod, "_distance_from_lengths", skewed)
+    report = verify_metric_axioms(GenConfig(2, 3), rational=False)
+    # every pair of unequal lengths: 105 pairs less 35 of equal length
+    assert report.properties[0].violations == 70
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["rational", "float"])
+def test_exhaustive_axioms_compare_the_batched_kernel_with_the_scalar(
+    rational, monkeypatch
+):
+    # one match dropped from the first lane of each packed row: the upper
+    # triangle comes from lcs_rows and the lower from the scalar kernel,
+    # so symmetry and the triangle inequality catch the batched path
+    decode = lcs_mod._packed_decode
+
+    def undercount(row, full, widths):
+        first, *rest = decode(row, full, widths)
+        return [max(first - 1, 0), *rest]
+
+    monkeypatch.setattr(lcs_mod, "_packed_decode", undercount)
+    report = verify_metric_axioms(GenConfig(2, 3), rational=rational)
+    by_name = {p.name: p.violations for p in report.properties}
+    assert by_name == {"symmetry": 10, "identity": 0, "triangle": 26}
+
+
+@pytest.mark.parametrize("rational", [True, False], ids=["rational", "float"])
+def test_sums_of_distances_equal_the_harmonic_spans_they_replace(rational):
+    # the lemma gaps, the identity bound and the halves of
+    # distance_decomposed are sums of metric's distances, each with one
+    # empty span; with no tolerance, each equals the harmonic-span
+    # expression it replaced
+    tier = _Tier(rational)
+    if rational:
+        def span(lo, hi):
+            return harmonic_exact(hi) - harmonic_exact(lo)
+
+        def slack(report):
+            return report.properties[0].min_slack_exact
+    else:
+        def span(lo, hi):
+            return harmonic_diff(TABLE, lo, hi)
+
+        def slack(report):
+            return report.properties[0].min_slack
+
+    for a, b in all_pairs(universe(2, 4)):
+        la, lb, lcs = len(a), len(b), lcs_len(a, b)
+        scs, dab = la + lb - lcs, tier.dist(a, b)
+        scs_gap = -abs(dab - (span(la, scs) + span(lb, scs)))
+        assert slack(verify_lemma_scs([(a, b)], rational=rational)) == scs_gap
+        lcs_gap = span(lcs, la) + span(lcs, lb) - dab
+        assert slack(verify_lemma_lcs_triangle([(a, b)], rational=rational)) == lcs_gap
+        if a != b:
+            least = la + lb - (min(la, lb) - (la == lb))
+            bound = span(la, least) + span(lb, least)
+            assert _identity_gap(tier, a, b, dab) == dab - bound
+        if not rational:
+            halves = span(la, scs), span(lb, scs)
+            assert distance_decomposed(a, b) == (*halves, sum(halves))
 
 
 # -- everything check runs ---------------------------------------------------------

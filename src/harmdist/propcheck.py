@@ -11,12 +11,17 @@ float tier calls ``distance`` and ``_distance_from_lengths``, the code
 the CLI runs, and tolerates bounded rounding (AXIOM_TOLERANCE for
 axioms, LEMMA_TOLERANCE for the equalities).  The exhaustive axioms take
 the upper triangle of the distance matrix from one batched ``lcs_rows``
-call, the path ``harmdist matrix`` prints, and the diagonal and lower
-triangle from the scalar distance, so symmetry compares the packed LCS
-kernel with the scalar one.  A gap is counted against the floor and
-judged only when it is reported: as a stored counterexample or as a
-property's minimum.  A suite's ``table`` only picks which harmonic cache
-grows: every table holds the same entries, so no report depends on it.
+call (in floats, ``distance_rows``, the rows ``harmdist matrix``
+prints), and the diagonal and lower triangle from the scalar distance,
+so symmetry compares the packed LCS kernel with the scalar one; their
+counterexamples re-read that matrix, so shrinking, which only deletes
+symbols and so stays in the universe, sees the values the check saw.  A
+gap is counted against the floor and judged only when it is reported: as
+a stored counterexample or as a property's minimum.  A suite's ``table``
+is the harmonic cache that the float ``from_lengths`` grows; the float
+``dist`` and ``distance_rows`` grow ``default_table()``, as every
+distance in ``metric`` does.  Every table holds the same entries, so no
+report depends on it.
 Checks run either exhaustively over every string on a small alphabet or
 statistically over seeded random samples; both modes feed the same gap
 definitions, and in both the report is a pure function of (config, seed).
@@ -56,7 +61,7 @@ from .errors import CapacityError
 from .harmonic import HarmonicTable, default_table
 from .lcs import SymbolSeq, is_subsequence, lcs_len, lcs_rows
 from .metric import _distance_from_lengths, _exact_from_lengths
-from .metric import distance, distance_exact
+from .metric import distance, distance_exact, distance_rows
 
 AXIOM_TOLERANCE = 1e-9
 LEMMA_TOLERANCE = 1e-12
@@ -293,6 +298,18 @@ class _Tier:
             return _exact_from_lengths(la, lb, lcs)
         return _distance_from_lengths(la, lb, lcs, self.table)
 
+    def rows(self, strings: Sequence[SymbolSeq]):
+        """The upper triangle of the distance matrix, row i against
+        ``strings[i + 1:]``, from one ``lcs_rows`` call: in floats, the
+        rows of ``distance_rows``, which ``harmdist matrix`` prints."""
+        if not self.rational:
+            return distance_rows(strings)
+        lens = [len(s.ids) for s in strings]
+        return [
+            [_exact_from_lengths(la, lb, lcs) for lb, lcs in zip(lens[i + 1 :], row)]
+            for i, (la, row) in enumerate(zip(lens, lcs_rows(strings)))
+        ]
+
     def judge(self, gap, floor) -> tuple[bool, float, Fraction | None]:
         """(violated, slack, exact_slack) of one gap against a floor."""
         if self.rational:
@@ -407,7 +424,21 @@ def verify_metric_axioms(
     inside the report.
     """
     tier = _Tier(rational, table)
-    d = dist if dist is not None else tier.dist
+    d = scalar = dist if dist is not None else tier.dist
+    if config.mode == "exhaustive":
+        strings = universe(config.alphabet_size, config.max_length)
+        if dist is None:  # the upper triangle batched, as matrix prints it
+            upper = tier.rows(strings)
+        else:
+            upper = [[d(a, b) for b in strings[i + 1 :]] for i, a in enumerate(strings)]
+        # the diagonal and the lower triangle by the scalar distance, so
+        # that symmetry compares the batched LCS kernel with the scalar one
+        lower = [[d(a, b) for b in strings[: i + 1]] for i, a in enumerate(strings)]
+        matrix = [[*lo, *up] for lo, up in zip(lower, upper)]
+        # the checkers read the matrix too, so that a counterexample made
+        # from a batched entry still violates when shrinking re-checks it
+        at = {s: i for i, s in enumerate(strings)}
+        d = lambda a, b: matrix[at[a]][at[b]] if a in at and b in at else scalar(a, b)
     sym = _Collector(
         "symmetry", tier, AXIOM_TOLERANCE,
         lambda t: _symmetry_gap(d(t[0], t[1]), d(t[1], t[0])),
@@ -421,19 +452,6 @@ def verify_metric_axioms(
         lambda t: _triangle_gap(d(t[0], t[1]), d(t[1], t[2]), d(t[0], t[2])),
     )
     if config.mode == "exhaustive":
-        strings = universe(config.alphabet_size, config.max_length)
-        if dist is None:  # the upper triangle by one lcs_rows call, as matrix
-            lens = [len(s.ids) for s in strings]
-            upper = [
-                [tier.from_lengths(la, lb, lcs) for lb, lcs in zip(lens[i + 1 :], row)]
-                for i, (la, row) in enumerate(zip(lens, lcs_rows(strings)))
-            ]
-        else:
-            upper = [[d(a, b) for b in strings[i + 1 :]] for i, a in enumerate(strings)]
-        # the diagonal and the lower triangle by the scalar distance, so
-        # that symmetry compares the batched LCS kernel with the scalar one
-        lower = [[d(a, b) for b in strings[: i + 1]] for i, a in enumerate(strings)]
-        matrix = [lo + up for lo, up in zip(lower, upper)]
         for i, a in enumerate(strings):
             ident.record((a, a, EMPTY), _identity_gap(tier, a, a, matrix[i][i]))
         for i, a in enumerate(strings):

@@ -642,6 +642,29 @@ def test_check_unknown_fixture_is_a_usage_error_naming_the_known_ones():
     assert b"Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("tier", ["--rational", "--float"])
+def test_check_reports_and_shrinks_a_batched_kernel_bug(tier):
+    # one match dropped from the first lane of each packed row: only the
+    # upper triangle, from lcs_rows, sees it, and the counterexamples it
+    # gives still violate when shrinking re-checks them
+    probe = (
+        "import sys; from harmdist import cli, lcs; "
+        "decode = lcs._packed_decode; "
+        "lcs._packed_decode = lambda *a: "
+        "(lambda first, *rest: [max(first - 1, 0), *rest])(*decode(*a)); "
+        "sys.exit(cli.main(['check', '--exhaustive', '--alphabet', '2', "
+        f"'--maxlen', '3', '{tier}']))"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 3, r.stderr
+    assert b"Traceback" not in r.stderr
+    text = out(r)
+    assert "symmetry: checked=105 violations=10 " in text
+    assert "triangle: checked=3375 violations=26 " in text
+    assert "counterexample property=symmetry " in text
+    assert "counterexample property=triangle " in text
+
+
 @pytest.mark.slow
 def test_check_fixture_over_mixed_id_widths_reports_counterexamples():
     # over 300 symbols the universe holds byte ids (below 256) and tuple

@@ -230,6 +230,22 @@ def test_exhaustive_axioms_compare_the_batched_kernel_with_the_scalar(
     assert by_name == {"symmetry": 10, "identity": 0, "triangle": 26}
 
 
+def test_float_axioms_take_the_upper_triangle_from_distance_rows(monkeypatch):
+    # the rows that matrix prints are the rows the float tier verifies: a
+    # skew in them breaks symmetry at every pair, and the rational tier,
+    # which does not read them, sees none
+    propcheck_mod = importlib.import_module("harmdist.propcheck")
+    rows = propcheck_mod.distance_rows
+
+    def skewed(seqs):
+        return [[x + 1e-6 for x in row] for row in rows(seqs)]
+
+    monkeypatch.setattr(propcheck_mod, "distance_rows", skewed)
+    config = GenConfig(2, 3)
+    assert verify_metric_axioms(config, rational=False).properties[0].violations == 105
+    assert verify_metric_axioms(config, rational=True).total_violations == 0
+
+
 @pytest.mark.parametrize("rational", [True, False], ids=["rational", "float"])
 def test_sums_of_distances_equal_the_harmonic_spans_they_replace(rational):
     # the lemma gaps, the identity bound and the halves of

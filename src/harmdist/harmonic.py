@@ -200,18 +200,20 @@ def harmonic(table: HarmonicTable, n: int) -> float:
 def harmonic_diff(table: HarmonicTable, lo: int, hi: int) -> float:
     """H_hi - H_lo, summed exactly over short spans to avoid cancellation.
 
-    Requires lo <= hi.  A span of at most DIRECT_SUM_SPAN terms inside the
-    table is the difference of two exact fixed-point prefixes, rounded to
-    float once: the correctly rounded sum of fl(1/i) for i in lo+1..hi,
-    the value ``math.fsum`` gives for those terms (int-to-float conversion
-    rounds half to even, and scaling by a power of two is exact).  Longer
-    spans fall back to differencing two harmonic values.  As in
-    ``harmonic``, ``table`` picks only which cache grows.
+    Signed: with lo > hi it is -(H_lo - H_hi), so a closed form fed an
+    impossible LCS length still gives a value to check.  A span of at most
+    DIRECT_SUM_SPAN terms inside the table is the difference of two exact
+    fixed-point prefixes, rounded to float once: the correctly rounded sum
+    of fl(1/i) for i in lo+1..hi, the value ``math.fsum`` gives for those
+    terms (int-to-float conversion rounds half to even, and scaling by a
+    power of two is exact).  Longer spans fall back to differencing two
+    harmonic values.  As in ``harmonic``, ``table`` picks only which cache
+    grows.
     """
     if lo < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {lo}")
     if lo > hi:
-        raise ValueError(f"harmonic_diff requires lo <= hi, got ({lo}, {hi})")
+        return -harmonic_diff(table, hi, lo)
     if lo == hi:
         return 0.0
     if hi - lo <= DIRECT_SUM_SPAN and hi <= MAX_CAPACITY:

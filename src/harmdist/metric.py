@@ -156,9 +156,11 @@ def _distance_from_lengths(
 def _exact_from_lengths(la: int, lb: int, lcs: int) -> Fraction:
     """The exact twin of ``_distance_from_lengths``: the same two spans,
     (H_scs - H_la) + (H_scs - H_lb), with an empty span skipped, so that a
-    distance to a sub- or supersequence costs one ``Fraction`` operation."""
+    distance to a sub- or supersequence costs one ``Fraction`` operation.
+    Like the float form it is signed, so an impossible lcs still gives
+    that formula's value."""
     scs = la + lb - lcs
-    if scs in (la, lb):  # one span is empty: the other runs from the shorter
-        return harmonic_exact(scs) - harmonic_exact(min(la, lb))
+    if scs in (la, lb):  # one span is empty; the other runs from the lcs
+        return harmonic_exact(scs) - harmonic_exact(lcs)
     h = harmonic_exact(scs)
     return (h - harmonic_exact(la)) + (h - harmonic_exact(lb))

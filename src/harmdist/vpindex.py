@@ -128,40 +128,17 @@ class PruningStats(NamedTuple):
         return total / (len(self.evaluations) * self.corpus_size)
 
 
-class VpTree:
+class VpTree(NamedTuple):
     """A vantage-point tree over ``corpus``; ``build`` or ``load`` one.
 
-    Equal exactly when corpus, ``order``, ``radii`` and ``build_seed``
-    are.
+    A named tuple of its four fields, so equal exactly when they are; the
+    arrays make it unhashable.
     """
 
-    __slots__ = ("corpus", "order", "radii", "build_seed")
-
-    def __init__(
-        self,
-        corpus: tuple[SymbolSeq, ...],
-        order: array,  # 'I': corpus indices; slot lo holds an inner node's pivot
-        radii: array,  # 'd': slot lo holds that node's radius
-        build_seed: int,
-    ):
-        self.corpus = corpus
-        self.order = order
-        self.radii = radii
-        self.build_seed = build_seed
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None  # mutable, like the arrays it holds
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"VpTree({fields})"
+    corpus: tuple[SymbolSeq, ...]
+    order: array  # 'I': corpus indices; slot lo holds an inner node's pivot
+    radii: array  # 'd': slot lo holds that node's radius
+    build_seed: int
 
     @classmethod
     def build(cls, corpus, seed: int) -> "VpTree":

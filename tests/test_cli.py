@@ -665,6 +665,26 @@ def test_check_reports_and_shrinks_a_batched_kernel_bug(tier):
     assert "counterexample property=triangle " in text
 
 
+@pytest.mark.parametrize("tier", ["--rational", "--float"])
+def test_check_reports_a_batched_kernel_that_over_counts(tier):
+    # one match added to every lane of each packed row gives LCS lengths
+    # above min(|a|, |b|); both closed forms are signed, so each tier
+    # reports the violations and shrinks them
+    probe = (
+        "import sys; from harmdist import cli, lcs; "
+        "decode = lcs._packed_decode; "
+        "lcs._packed_decode = lambda *a: [x + 1 for x in decode(*a)]; "
+        "sys.exit(cli.main(['check', '--exhaustive', '--alphabet', '2', "
+        f"'--maxlen', '3', '{tier}']))"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert r.returncode == 3, r.stderr
+    assert b"Traceback" not in r.stderr
+    text = out(r)
+    for prop in ("symmetry", "identity", "triangle"):
+        assert f"counterexample property={prop} " in text
+
+
 @pytest.mark.slow
 def test_check_fixture_over_mixed_id_widths_reports_counterexamples():
     # over 300 symbols the universe holds byte ids (below 256) and tuple

@@ -157,8 +157,7 @@ def test_diff_examples():
 
 
 def test_diff_precondition():
-    with pytest.raises(ValueError):
-        harmonic_diff(TABLE, 3, 2)
+    assert harmonic_diff(TABLE, 3, 2) == -harmonic_diff(TABLE, 2, 3)
     with pytest.raises(ValueError):
         harmonic_diff(TABLE, -1, 2)
 

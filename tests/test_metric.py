@@ -19,7 +19,8 @@ from harmdist import (
     harmonic_diff,
     lcs_len,
 )
-from harmdist.propcheck import _Tier
+from harmdist.metric import _distance_from_lengths, _exact_from_lengths
+from harmdist.propcheck import LEMMA_TOLERANCE, _Tier
 from helpers import random_seq, seq, symbol_seqs
 
 TABLE = HarmonicTable()
@@ -229,6 +230,17 @@ def test_no_table_changes_a_distance(a, b):
     lengths = len(a.ids), len(b.ids), lcs_len(a, b)
     assert _Tier(False, HarmonicTable()).from_lengths(*lengths) == want
     assert _Tier(True).from_lengths(*lengths) == distance_exact(a, b)
+
+
+def test_closed_forms_agree_on_every_lcs_length_even_an_impossible_one():
+    # both forms are the signed formula, so an lcs above min(la, lb), as a
+    # kernel that over-counts gives, reaches either without an error
+    for la in range(41):
+        for lb in range(41):
+            for lcs in range(la + lb + 1):
+                exact = _exact_from_lengths(la, lb, lcs)
+                got = _distance_from_lengths(la, lb, lcs, TABLE)
+                assert abs(got - exact) <= LEMMA_TOLERANCE, (la, lb, lcs)
 
 
 def test_breakdown_is_an_immutable_value():

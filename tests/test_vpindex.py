@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import random
 from array import array
 
@@ -407,14 +408,26 @@ def test_save_load_roundtrip(tmp_path, corpus, tree):
 
 
 def test_trees_and_stats_compare_by_value(tmp_path, corpus, tree):
-    # a tree equals another over the same corpus, arrays and seed; stats
-    # are immutable values
+    # a tree equals another over the same corpus, arrays and seed, survives
+    # pickling, names its fields in its repr and has read-only fields;
+    # stats are immutable values
     path = tmp_path / "corpus.hvpt"
     tree.save(path)
     assert VpTree.load(path, corpus) == tree
     assert VpTree.build(corpus, seed=8) != tree
     with pytest.raises(TypeError):
         hash(tree)
+    with pytest.raises(AttributeError):
+        tree.build_seed = 8
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    small = VpTree.build(corpus[:2], 0)
+    assert small == VpTree(
+        corpus=small.corpus, order=small.order, radii=small.radii, build_seed=0
+    )
+    assert repr(small) == (
+        f"VpTree(corpus={small.corpus!r}, order={small.order!r}, "
+        f"radii={small.radii!r}, build_seed=0)"
+    )
     stats = tree.stats(corpus[:3], k=2)
     assert stats == tree.stats(corpus[:3], k=2) != tree.stats(corpus[:2], k=2)
     assert hash(stats) == hash(tree.stats(corpus[:3], k=2))

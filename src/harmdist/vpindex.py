@@ -17,34 +17,31 @@ Yianilos's vantage-point tree (SODA 1993), a pivot is in neither child,
 so a query evaluates each element at most once.  The tree's shape
 follows from n and LEAF_SIZE, and no node links are stored.
 
-Leaves are buckets of up to LEAF_SIZE = 64 lines, and a query takes each
+Leaves are buckets of up to LEAF_SIZE = 512 lines, and a query takes each
 leaf it reaches in one packed ``distances`` call, whose per-pair cost is
-a fraction of that of the scalar ``distance`` a pivot goes through.
-Coarser leaves prune less.  In a leaf-size sweep on the benchmark's two
-corpora (8 to 256, seed 1, 2-core x86-64, medians of 15), a knn query
-evaluated about 88 % of the short-dense corpus at 64 against 82 % at 8,
-and the whole long-sparse corpus at both.  Going from 8 to 64 cut the
-build to 0.38-0.53 of its time and a loaded knn query to 0.35-0.41.
-Beyond 64 the build kept falling but the search gained only about 15 %
-more at 128, while pruning kept falling: the acceptance suite's knn
-queries over 2,000 ``acgt`` lines (criterion 7) evaluate 0.603 of them
-at 8, 0.686 at 64 and 0.749 at 128, and at 256 a short-dense query
-evaluates the whole corpus.  That sweep kept each pivot in a leaf below
-it as well.  With the pivot out of its children, criterion 7's knn
-queries evaluate 0.684 at 64, and over the benchmark's seed-1 queries a
-knn query evaluates 0.876 of short-dense and 0.917 of long-sparse, a
-range query 0.740 and 0.917 (``VpTree.stats``).
+a fraction of that of the scalar ``distance`` a pivot goes through.  Each
+level of inner nodes costs the build one ``distances`` pass over the
+corpus, so the tree stops splitting where a split does not pay.  In a
+sweep of 64 to 1,024 (in process, 2-core x86-64), 512 built 2,000 lines
+in 2 passes instead of 5 (about 0.4 of the time at 64) and a 400-line
+corpus in none; over 20,000 ``acgt`` lines its knn search took 0.69 of
+the time at 64, level with 1,024, while criterion 7's knn queries still
+evaluate 0.835 of its corpus (0.684 at 64, 0.910 at 1,024).  On the
+benchmark's seed-1 queries a knn query evaluates all of both gated
+corpora, against 0.876 and 0.917 at 64: the levels that did not prune
+are gone (``VpTree.stats``).
 
 Trees are immutable after ``build`` and safe for concurrent queries;
 building is single-threaded and fully determined by (corpus order, seed).
 
-Optional on-disk format, version 5 (little-endian): magic ``HVPT``,
+Optional on-disk format, version 6 (little-endian): magic ``HVPT``,
 version u16, seed u64, a SHA-256 over the seed, the corpus and the
 body, then the body: ``order`` as u32 and ``radii`` as f64, n of each.
 The corpus is hashed as its lengths (u64), then each string's ids at the
 narrowest width that holds them all: tagged ``B`` and a byte each below
-256, ``H`` and a u16 each below 65,536, else ``Q`` and a u64 each.
-Versions 1-4 are rejected.
+256, ``H`` and a u16 each below 65,536, else ``Q`` and a u64 each.  No
+shape is stored, so any change to LEAF_SIZE or ``_split`` bumps
+FORMAT_VERSION; versions 1-5 are rejected.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ import math
 import os
 import random
 import struct
+import sys
 import threading
 from array import array
 from contextlib import suppress
@@ -72,11 +70,11 @@ from .errors import IndexFormatError
 from .lcs import SymbolSeq
 from .metric import distance, distances
 
-LEAF_SIZE = 64
+LEAF_SIZE = 512
 PRUNE_MARGIN = 1e-9
 
 MAGIC = b"HVPT"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _HEADER = struct.Struct("<HQ32s")  # version, seed, digest
 
 
@@ -100,17 +98,25 @@ def _inner_nodes(n: int):
             stack += ((p, hi), (lo + 1, p))
 
 
+def _wide(ids: tuple) -> bytes:
+    tag = "H" if max(ids) < 65536 else "Q"
+    return tag.encode() + struct.pack(f"<{len(ids)}{tag}", *ids)
+
+
 def _digest(seed: int, corpus, body: bytes) -> bytes:
-    h = sha256(struct.pack("<Q", seed))
-    h.update(struct.pack(f"<{len(corpus)}Q", *[len(s.ids) for s in corpus]))
-    for s in corpus:
-        if type(s.ids) is bytes:  # a byte per id hashes eight times faster than a u64
-            h.update(b"B" + s.ids)
-        else:
-            tag = "H" if max(s.ids) < 65536 else "Q"
-            h.update(tag.encode() + struct.pack(f"<{len(s.ids)}{tag}", *s.ids))
+    ids = [s.ids for s in corpus]
+    h = sha256(struct.pack(f"<Q{len(ids)}Q", seed, *map(len, ids)))
+    # a byte per id hashes eight times faster than a u64
+    h.update(b"".join([b"B" + x if type(x) is bytes else _wide(x) for x in ids]))
     h.update(body)
     return h.digest()
+
+
+def _little(a: array) -> array:
+    """``a`` little-endian, as files hold it: on a big-endian host, swapped."""
+    if sys.byteorder == "big":
+        (a := array(a.typecode, a)).byteswap()
+    return a
 
 
 class PruningStats(NamedTuple):
@@ -124,8 +130,7 @@ class PruningStats(NamedTuple):
     def mean_fraction_scanned(self) -> float:
         if not self.evaluations:
             return 0.0
-        total = sum(self.evaluations)
-        return total / (len(self.evaluations) * self.corpus_size)
+        return sum(self.evaluations) / (len(self.evaluations) * self.corpus_size)
 
 
 class VpTree(NamedTuple):
@@ -245,11 +250,7 @@ class VpTree(NamedTuple):
         return evaluated
 
     def stats(
-        self,
-        queries,
-        *,
-        radius: float | None = None,
-        k: int | None = None,
+        self, queries, *, radius: float | None = None, k: int | None = None
     ) -> PruningStats:
         """Run a query batch and report distance evaluations per query."""
         if (radius is None) == (k is None):
@@ -292,8 +293,7 @@ class VpTree(NamedTuple):
         extended, so a name at the length limit saves too; the process and
         thread ids keep concurrent saves apart.  An OSError on the
         temporary file names ``path`` instead."""
-        n = len(self.order)
-        body = struct.pack(f"<{n}I{n}d", *self.order, *self.radii)
+        body = _little(self.order).tobytes() + _little(self.radii).tobytes()
         digest = _digest(self.build_seed, self.corpus, body)
         header = _HEADER.pack(FORMAT_VERSION, self.build_seed, digest)
         path = Path(path)
@@ -345,8 +345,8 @@ class VpTree(NamedTuple):
                 "index was built over a different corpus or tokenization, or "
                 "is damaged; delete the file so that it is rebuilt"
             )
-        order = array("I", struct.unpack_from(f"<{n}I", body))
-        radii = array("d", struct.unpack_from(f"<{n}d", body, 4 * n))
+        order = _little(array("I", body[: 4 * n]))
+        radii = _little(array("d", body[4 * n :]))
         ranks = sorted(order)
         if ranks != list(range(n)):
             if ranks[-1] >= n:

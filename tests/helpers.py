@@ -7,10 +7,11 @@ import random
 import struct
 from fractions import Fraction
 from hashlib import sha256
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
-from harmdist import Interner, SymbolSeq
+from harmdist import Interner, SymbolSeq, VpTree, vpindex
 from harmdist.vpindex import FORMAT_VERSION, MAGIC
 
 
@@ -59,12 +60,21 @@ def corpus_bytes(corpus) -> bytes:
     return b"".join(chunks)
 
 
-def hvpt_bytes(corpus, order, radii, seed=0) -> bytes:
+def hvpt_bytes(corpus, order, radii, seed=0, version=FORMAT_VERSION) -> bytes:
     """A hand-made index file over the corpus, with a valid digest."""
     body = struct.pack(f"<{len(order)}I{len(radii)}d", *order, *radii)
     seeded = struct.pack("<Q", seed) + corpus_bytes(corpus) + body
-    header = struct.pack("<HQ32s", FORMAT_VERSION, seed, sha256(seeded).digest())
+    header = struct.pack("<HQ32s", version, seed, sha256(seeded).digest())
     return MAGIC + header + body
+
+
+def v5_index(corpus) -> bytes:
+    """A format-5 index file over the corpus: the tree ``build`` makes with
+    seed 0 and the 64-line leaves of that format, under a digest that
+    format 5 computed as format 6 does."""
+    with patch.object(vpindex, "LEAF_SIZE", 64):
+        tree = VpTree.build(corpus, 0)
+    return hvpt_bytes(corpus, tree.order, tree.radii, version=5)
 
 
 #: A format-1 index file (child offsets, bound to a corpus of 12 by size
@@ -96,7 +106,7 @@ def _three_array_index(version: int) -> bytes:
     )
 
 
-#: Format 3 had 8-line leaves, format 4 the 64-line leaves of format 5.
+#: Format 3 had 8-line leaves, formats 4 and 5 64-line leaves.
 V3_INDEX_OF_12 = _three_array_index(3)
 V4_INDEX_OF_12 = _three_array_index(4)
 

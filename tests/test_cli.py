@@ -15,6 +15,7 @@ from helpers import (
     V4_INDEX_OF_12,
     hvpt_bytes,
     interned,
+    v5_index,
 )
 
 PKG = [sys.executable, "-m", "harmdist"]
@@ -525,10 +526,32 @@ def test_knn_rejects_a_version_4_index(tmp_path):
     assert b"delete the file so that it is rebuilt" in r.stderr
 
 
+def test_knn_rejects_a_version_5_index(tmp_path):
+    # a format-5 file of 64-line leaves, sealed as format 6 is, is refused
+    # rather than searched with the shape of 512-line leaves
+    rng = random.Random(5)
+    lines = ["".join(rng.choices("acgt", k=rng.randint(4, 24))) for _ in range(600)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"{line}\n" for line in lines))
+    index = tmp_path / "v5.hvpt"
+    index.write_bytes(v5_index(interned(lines)))
+    r = run("knn", str(corpus), lines[17], "--index", str(index))
+    assert_rejected(r)
+    assert b"version 5" in r.stderr
+    assert b"delete the file so that it is rebuilt" in r.stderr
+
+
 def test_knn_rejects_an_index_whose_radii_are_zeroed(tmp_path):
-    # a finite but wrong radius would prune the query's own line away
+    # a finite but wrong radius would prune the query's own line away; the
+    # corpus spans more than two leaves, so the root and its children have
+    # radii
+    from harmdist.vpindex import LEAF_SIZE
+
     rng = random.Random(4)
-    lines = ["".join(rng.choices("acgt", k=rng.randint(4, 24))) for _ in range(200)]
+    lines = [
+        "".join(rng.choices("acgt", k=rng.randint(4, 24)))
+        for _ in range(2 * LEAF_SIZE + 200)
+    ]
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("".join(f"{line}\n" for line in lines))
     index = tmp_path / "corpus.hvpt"

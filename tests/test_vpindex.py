@@ -17,6 +17,7 @@ from helpers import (
     V4_INDEX_OF_12,
     hvpt_bytes,
     random_seq,
+    v5_index,
 )
 
 
@@ -58,13 +59,21 @@ def oracle_distance(a, b):
     return distance(a, b, engine="huntszymanski")
 
 
+@pytest.fixture
+def leaves_of_64(monkeypatch):
+    """Leaves of 64 lines for the whole test, so that a corpus of a few
+    hundred lines makes inner nodes; ``_inner_nodes`` and ``_search`` read
+    LEAF_SIZE when called, so build and search agree on the shape."""
+    monkeypatch.setattr(vpindex, "LEAF_SIZE", 64)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return make_corpus(300, seed=5)
 
 
-@pytest.fixture(scope="module")
-def tree(corpus):
+@pytest.fixture
+def tree(corpus, leaves_of_64):
     return VpTree.build(corpus, seed=7)
 
 
@@ -88,6 +97,7 @@ def test_duplicate_corpus_queries_return_everything():
     assert hits == [(i, 0.0) for i in range(5)]  # ties break by index
 
 
+@pytest.mark.usefixtures("leaves_of_64")
 @pytest.mark.parametrize("seed", range(5))
 def test_ties_across_several_leaves_match_the_scan(seed):
     # 200 lines of 3 distinct strings make inner nodes whose pivots tie
@@ -127,6 +137,10 @@ def test_build_is_deterministic(corpus, tree):
     ],
 )
 def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeypatch):
+    # the 2,000 lines split at LEAF_SIZE; the 300-line corpora make pivots
+    # only with 64-line leaves
+    if name != "acgt":
+        monkeypatch.setattr(vpindex, "LEAF_SIZE", 64)
     corpus = corpus_of()
     packed = VpTree.build(corpus, seed=7)
     packed.validate()
@@ -141,6 +155,7 @@ def test_packed_build_equals_the_scalar_build(name, corpus_of, tmp_path, monkeyp
     ).read_bytes()
 
 
+@pytest.mark.usefixtures("leaves_of_64")
 def test_search_equals_the_oracle_search(monkeypatch):
     # the search takes each pivot's distance through the scalar distance and
     # each leaf's through one lcs_lens call; the fakes go through an oracle
@@ -176,13 +191,14 @@ def test_search_equals_the_oracle_search(monkeypatch):
         assert len(searched[3][2]) == hits
 
 
+@pytest.mark.usefixtures("leaves_of_64")
 def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
     corpus = make_corpus(600, seed=6)
     tree = VpTree.build(corpus, seed=1)
     leaves, pivots, stack = [], set(), [(0, len(corpus))]
     while stack:
         lo, hi = stack.pop()
-        if hi - lo <= LEAF_SIZE:
+        if hi - lo <= vpindex.LEAF_SIZE:
             leaves.append(list(tree.order[lo:hi]))
         else:
             pivots.add(tree.order[lo])
@@ -225,8 +241,8 @@ def test_a_search_takes_each_leaf_in_one_packed_call(packed_calls, monkeypatch):
 def test_criterion_7_evaluation_counts_are_pinned(monkeypatch):
     # the acceptance suite's seeded corpus and queries (criterion 7): every
     # distance a search evaluates goes once through distance (a pivot) or
-    # distances (a leaf), and the scanned fractions are 0.684 (knn) and
-    # 0.529 (range)
+    # distances (a leaf), and the scanned fractions are 0.835 (knn) and
+    # 0.770 (range)
     rng = random.Random(77)
     corpus = [random_seq(rng, 4, 64) for _ in range(2_000)]
     queries = [random_seq(rng, 4, 64) for _ in range(50)]
@@ -245,18 +261,18 @@ def test_criterion_7_evaluation_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(vpindex, "distances", distances)
     monkeypatch.setattr(vpindex, "distance", distance)
     knn = tree.stats(queries, k=10)
-    assert len(calls) == sum(knn.evaluations) == 68_367
+    assert len(calls) == sum(knn.evaluations) == 83_515
     assert knn.evaluations[:10] == (
-        1565, 1876, 1690, 1565, 1690, 501, 1565, 1439, 1315, 128
+        2000, 2000, 2000, 2000, 2000, 501, 2000, 1501, 2000, 501
     )
-    assert round(knn.mean_fraction_scanned, 3) == 0.684
+    assert round(knn.mean_fraction_scanned, 3) == 0.835
     calls.clear()
     near = tree.stats(queries, radius=0.3)
-    assert len(calls) == sum(near.evaluations) == 52_913
+    assert len(calls) == sum(near.evaluations) == 77_020
     assert near.evaluations[:10] == (
-        1315, 1442, 1565, 1315, 1380, 252, 1315, 943, 1065, 128
+        2000, 2000, 2000, 2000, 2000, 501, 2000, 1501, 1500, 501
     )
-    assert round(near.mean_fraction_scanned, 3) == 0.529
+    assert round(near.mean_fraction_scanned, 3) == 0.770
 
 
 def test_different_seed_changes_nothing_about_results(corpus, tree):
@@ -373,6 +389,7 @@ PINNED_SEARCHES = {
 }
 
 
+@pytest.mark.usefixtures("leaves_of_64")
 @pytest.mark.parametrize("alphabet, n, max_length", sorted(PINNED_SEARCHES))
 def test_search_evaluates_and_returns_what_was_pinned(alphabet, n, max_length):
     corpus = make_corpus(n, seed=11, alphabet=alphabet, max_length=max_length)
@@ -539,6 +556,26 @@ def test_load_rejects_a_version_4_file(tmp_path):
         VpTree.load(path, make_corpus(12))
 
 
+def test_load_rejects_a_version_5_file(tmp_path):
+    # format 5 sealed its files as format 6 does, but its 64-line leaves
+    # give the tree another shape, which a search of 512-line leaves would
+    # misread
+    corpus = make_corpus(600, seed=6)
+    path = tmp_path / "v5.hvpt"
+    path.write_bytes(v5_index(corpus))
+    current = VpTree.build(corpus, seed=0)
+    body = hvpt_bytes(corpus, current.order, current.radii)[46:]
+    assert path.read_bytes()[46:] != body
+    with pytest.raises(IndexFormatError, match="version 5 .*delete the file"):
+        VpTree.load(path, corpus)
+
+
+def test_a_new_leaf_size_is_a_new_format_version():
+    # the shape of a saved tree follows from n and LEAF_SIZE and is not
+    # stored, so the two change together
+    assert (vpindex.FORMAT_VERSION, LEAF_SIZE) == (6, 512)
+
+
 def test_load_rejects_truncation(tmp_path, corpus, tree):
     path = tmp_path / "cut.hvpt"
     tree.save(path)
@@ -596,6 +633,27 @@ def test_load_accepts_a_hand_made_partition(tmp_path):
     again = tmp_path / "again.hvpt"
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_big_endian_host_swaps_the_arrays_both_ways(
+    tmp_path, corpus, tree, monkeypatch
+):
+    # a host that reports big-endian order writes each slot byte-reversed
+    # from the native little-endian bytes, reads it back to the same tree,
+    # and leaves the saved tree's own arrays as they were
+    monkeypatch.setattr(vpindex.sys, "byteorder", "big")
+    path = tmp_path / "big.hvpt"
+    tree.save(path)
+    n = len(corpus)
+    body = path.read_bytes()[46:]
+    order, radii = body[: 4 * n], body[4 * n :]
+    assert [order[j : j + 4][::-1] for j in range(0, 4 * n, 4)] == [
+        tree.order[j : j + 1].tobytes() for j in range(n)
+    ]
+    assert [radii[j : j + 8][::-1] for j in range(0, 8 * n, 8)] == [
+        tree.radii[j : j + 1].tobytes() for j in range(n)
+    ]
+    assert VpTree.load(path, corpus) == tree == VpTree.build(corpus, seed=7)
 
 
 def test_save_replaces_the_file_in_one_step(tmp_path, tree, monkeypatch):
